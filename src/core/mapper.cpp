@@ -184,9 +184,12 @@ size_t CostMatrixCache::size() const {
 }
 
 void CostMatrixCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  stats_ = Stats{};
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    entries_.clear();
+    stats_ = Stats{};
+  }
+  weight_power_.clear();
 }
 
 // ----------------------------------------------------------------- Mapper

@@ -45,6 +45,7 @@
 #include "core/mapping.h"
 #include "core/metrics.h"
 #include "core/report.h"
+#include "energy/energy_model.h"
 #include "util/binio.h"
 #include "workload/gemm.h"
 
@@ -151,6 +152,12 @@ class CostMatrix {
 /// exactly.  Keys are compared by their two 64-bit fingerprints only; a
 /// false hit needs a simultaneous collision of both, which is negligible
 /// at any realistic sweep size.
+///
+/// Beside the entries sits the weight-power memo (weight_power()): the
+/// per-(GEMM, device curve) data-aware weight-cell power that every cost
+/// miss of that GEMM needs, so a cold sweep scans each weight tensor once
+/// per curve rather than once per (point, sub-arch).  Only misses consult
+/// it; it is not persisted, and clear() empties it.
 class CostMatrixCache {
  public:
   struct Key {
@@ -222,7 +229,14 @@ class CostMatrixCache {
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] size_t size() const;
-  void clear();  // drops entries and resets the counters
+  /// Drops entries and the weight-power memo, and resets the counters.
+  void clear();
+
+  /// The weight-power memo the cost-miss path passes to the energy model
+  /// (see the class comment).  Thread-safe on its own.
+  [[nodiscard]] energy::WeightPowerMemo& weight_power() {
+    return weight_power_;
+  }
 
  private:
   struct KeyHash {
@@ -236,6 +250,7 @@ class CostMatrixCache {
   std::unordered_map<Key, std::shared_ptr<const CostMatrix::Entry>, KeyHash>
       entries_;
   mutable Stats stats_;
+  energy::WeightPowerMemo weight_power_;
 };
 
 /// Everything a Mapper sees.  `costs` is null iff the strategy declared

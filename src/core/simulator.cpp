@@ -165,7 +165,8 @@ Simulator::Simulator(arch::Architecture architecture,
 
 LayerReport Simulator::simulate_one(
     size_t subarch_index, const workload::GemmWorkload& gemm,
-    const memory::MemoryHierarchy& memory) const {
+    const memory::MemoryHierarchy& memory,
+    const energy::WeightPowerLookup& weight_power) const {
   const arch::SubArchitecture& subarch =
       architecture_.subarch(subarch_index);
 
@@ -183,7 +184,7 @@ LayerReport Simulator::simulate_one(
   report.energy = energy::compute_energy(
       subarch, gemm, report.dataflow, report.link,
       options_.energy.include_data_movement ? &report.traffic : nullptr,
-      options_.energy);
+      options_.energy, weight_power);
   return report;
 }
 
@@ -262,7 +263,13 @@ CostMatrix Simulator::build_cost_matrix(
       }
       CostMatrix::Entry entry;
       try {
-        entry.report = simulate_one(s, gemms[g], memory);
+        // A miss reads the weight-cell power from the cache's memo, so
+        // each GEMM's weights are scanned once per device curve.
+        entry.report = simulate_one(
+            s, gemms[g], memory,
+            cache != nullptr
+                ? energy::WeightPowerLookup{&cache->weight_power(), key.gemm}
+                : energy::WeightPowerLookup{});
         entry.feasible = true;
       } catch (const std::invalid_argument& e) {
         // The simulator rejects workload/hardware mismatches (e.g. a

@@ -218,9 +218,12 @@ class Simulator {
     Mapping mapping;
   };
 
+  /// `weight_power` (optional): the cost cache's weight-power memo and
+  /// the GEMM's fingerprint, passed on to energy::compute_energy.
   [[nodiscard]] LayerReport simulate_one(
       size_t subarch_index, const workload::GemmWorkload& gemm,
-      const memory::MemoryHierarchy& memory) const;
+      const memory::MemoryHierarchy& memory,
+      const energy::WeightPowerLookup& weight_power = {}) const;
 
   [[nodiscard]] memory::MemoryHierarchy build_shared_memory(
       const std::vector<workload::GemmWorkload>& gemms) const;

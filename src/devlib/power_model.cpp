@@ -1,7 +1,10 @@
 #include "devlib/power_model.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace simphony::devlib {
@@ -17,8 +20,38 @@ std::string to_string(PowerFidelity fidelity) {
 
 double PowerModel::mean_power_mW(std::span<const float> values) const {
   if (values.empty()) return 0.0;
+  // power_mW is evaluated once per distinct float bit pattern (quantized
+  // weights take at most 2^bits levels) and replayed from a fixed-size
+  // open-addressing table; once the table is half full, further new
+  // patterns are evaluated directly.  Every addend and the summation
+  // order are those of the plain `sum += power_mW(v)` loop, so the mean
+  // is bit-identical to it.
+  constexpr int kSlotBits = 10;
+  constexpr size_t kSlots = size_t{1} << kSlotBits;
+  constexpr size_t kMaxFilled = kSlots / 2;  // keeps an empty slot to stop
+  std::array<uint64_t, kSlots> tags{};  // 0 = empty, else bits | 1 << 32
+  std::array<double, kSlots> powers{};
+  size_t filled = 0;
   double sum = 0.0;
-  for (float v : values) sum += power_mW(v);
+  for (float v : values) {
+    const uint32_t bits = std::bit_cast<uint32_t>(v);
+    const uint64_t tag = bits | (uint64_t{1} << 32);
+    size_t slot = (bits * 0x9E3779B1u) >> (32 - kSlotBits);
+    while (tags[slot] != 0 && tags[slot] != tag) {
+      slot = (slot + 1) & (kSlots - 1);
+    }
+    if (tags[slot] == tag) {
+      sum += powers[slot];
+      continue;
+    }
+    const double power = power_mW(v);
+    if (filled < kMaxFilled) {
+      tags[slot] = tag;
+      powers[slot] = power;
+      ++filled;
+    }
+    sum += power;
+  }
   return sum / static_cast<double>(values.size());
 }
 
@@ -32,6 +65,7 @@ TabulatedPowerModel::TabulatedPowerModel(std::vector<Sample> samples)
 }
 
 double TabulatedPowerModel::power_mW(double value) const {
+  if (std::isnan(value)) return value;  // no segment brackets NaN
   if (value <= samples_.front().value) return samples_.front().power_mW;
   if (value >= samples_.back().value) return samples_.back().power_mW;
   // Binary search for the bracketing segment.

@@ -31,12 +31,16 @@ class PowerModel {
   virtual ~PowerModel() = default;
 
   /// Power in mW while the device encodes `value` (normalized to [-1, 1]).
+  /// Must be a pure function of `value`: mean_power_mW evaluates it once
+  /// per distinct value.
   [[nodiscard]] virtual double power_mW(double value) const = 0;
 
   [[nodiscard]] virtual PowerFidelity fidelity() const = 0;
 
   /// Mean power over a set of encoded values (pruned/gated values excluded
-  /// by the caller).  Default: arithmetic mean of power_mW.
+  /// by the caller).  Default: arithmetic mean of power_mW, bit-identical
+  /// to summing power_mW(v) over `values` in order, but evaluating
+  /// power_mW once per distinct float bit pattern.
   [[nodiscard]] virtual double mean_power_mW(
       std::span<const float> values) const;
 };
@@ -72,7 +76,7 @@ class AnalyticalPowerModel final : public PowerModel {
 
 /// Tabulated: piecewise-linear interpolation through (value, power) samples
 /// from device simulation or chip measurement.  Values outside the table are
-/// clamped to the end points.
+/// clamped to the end points; NaN maps to NaN.
 class TabulatedPowerModel final : public PowerModel {
  public:
   struct Sample {

@@ -1,6 +1,8 @@
 #include "energy/energy_model.h"
 
+#include <bit>
 #include <cmath>
+#include <optional>
 #include <span>
 
 #include "devlib/electronics.h"
@@ -12,35 +14,101 @@ namespace {
 
 using arch::Role;
 
-/// Mean data-dependent power per weight cell over the actual operand
-/// values (pruned zeros contribute zero power: fine-grained gating).
-double weight_cell_mean_power_mW(const devlib::DeviceParams& dev,
-                                 const workload::GemmWorkload& gemm,
-                                 const EnergyOptions& options) {
-  const double p_pi = dev.prop_or("p_pi_mW", dev.static_power_mW);
-  if (!options.data_aware ||
-      options.fidelity == devlib::PowerFidelity::kDataUnaware ||
-      gemm.weights == nullptr || gemm.weights->numel() == 0) {
-    // Library reference power for every cell; pruning cannot gate what the
-    // model does not see.
-    return p_pi;
-  }
-  const auto model = devlib::make_phase_shifter_power(p_pi, options.fidelity);
-  return model->mean_power_mW(
-      std::span<const float>(gemm.weights->data()));
+/// The data-aware scan: mean power of one phase-shifter weight cell over
+/// the actual weight values (pruned zeros draw zero power: fine-grained
+/// gating).
+double scan_weight_power_mW(double p_pi_mW, devlib::PowerFidelity fidelity,
+                            std::span<const float> weights) {
+  return devlib::make_phase_shifter_power(p_pi_mW, fidelity)
+      ->mean_power_mW(weights);
 }
 
+/// Mean weight-cell power of one GEMM, per device.  The weight-cell groups
+/// of a sub-arch (e.g. a Clements mesh's U / Sigma / V) usually share one
+/// device curve, so the last curve's mean is reused within the call; the
+/// lookup's memo, when set, shares it across calls.
+class WeightCellPower {
+ public:
+  WeightCellPower(const workload::GemmWorkload& gemm,
+                  const EnergyOptions& options,
+                  const WeightPowerLookup& lookup)
+      : gemm_(gemm), options_(options), lookup_(lookup) {}
+
+  double mean_mW(const devlib::DeviceParams& dev) {
+    const double p_pi = dev.prop_or("p_pi_mW", dev.static_power_mW);
+    if (!options_.data_aware ||
+        options_.fidelity == devlib::PowerFidelity::kDataUnaware ||
+        gemm_.weights == nullptr || gemm_.weights->numel() == 0) {
+      // Library reference power for every cell; pruning cannot gate what
+      // the model does not see.
+      return p_pi;
+    }
+    const uint64_t p_pi_bits = std::bit_cast<uint64_t>(p_pi);
+    if (scanned_p_pi_bits_ != p_pi_bits) {
+      const std::span<const float> weights(gemm_.weights->data());
+      mean_mW_ = lookup_.memo != nullptr
+                     ? lookup_.memo->mean_power_mW(lookup_.gemm_key, p_pi,
+                                                   options_.fidelity, weights)
+                     : scan_weight_power_mW(p_pi, options_.fidelity, weights);
+      scanned_p_pi_bits_ = p_pi_bits;
+    }
+    return mean_mW_;
+  }
+
+ private:
+  const workload::GemmWorkload& gemm_;
+  const EnergyOptions& options_;
+  const WeightPowerLookup& lookup_;
+  std::optional<uint64_t> scanned_p_pi_bits_;
+  double mean_mW_ = 0.0;
+};
+
 }  // namespace
+
+double WeightPowerMemo::mean_power_mW(uint64_t gemm_key, double p_pi_mW,
+                                      devlib::PowerFidelity fidelity,
+                                      std::span<const float> weights) {
+  const Key key{gemm_key, std::bit_cast<uint64_t>(p_pi_mW), fidelity};
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = means_mW_.find(key);
+    if (it != means_mW_.end()) return it->second;
+  }
+  // The scan runs outside the lock, so callers never wait on each other's
+  // scans; concurrent first users of one key scan the same bits and the
+  // first writer wins.
+  const double mean_mW = scan_weight_power_mW(p_pi_mW, fidelity, weights);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return means_mW_.try_emplace(key, mean_mW).first->second;
+}
+
+size_t WeightPowerMemo::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return means_mW_.size();
+}
+
+void WeightPowerMemo::clear() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  means_mW_.clear();
+}
+
+size_t WeightPowerMemo::KeyHash::operator()(const Key& key) const {
+  const uint64_t fidelity = static_cast<uint64_t>(key.fidelity);
+  return static_cast<size_t>(
+      key.gemm ^ ((key.p_pi_bits ^ fidelity) * 0x9e3779b97f4a7c15ULL));
+}
 
 EnergyBreakdown compute_energy(const arch::SubArchitecture& subarch,
                                const workload::GemmWorkload& gemm,
                                const dataflow::DataflowResult& mapped,
                                const arch::LinkBudgetReport& link,
                                const memory::TrafficResult* traffic,
-                               const EnergyOptions& options) {
+                               const EnergyOptions& options,
+                               const WeightPowerLookup& weight_power) {
   const arch::ArchParams& p = subarch.params();
   const devlib::DeviceLibrary& lib = subarch.library();
   EnergyBreakdown out;
+  WeightCellPower weight_cell_power(gemm, options, weight_power);
 
   const double runtime_ns = mapped.runtime_ns;
   const double active_ns =
@@ -103,8 +171,7 @@ EnergyBreakdown compute_energy(const arch::SubArchitecture& subarch,
           // Data-aware fidelities take the mean over the actual weight
           // values (pruned zeros draw zero power: implicit gating); the
           // data-unaware reference charges P_pi for every cell.
-          const double mean_mW =
-              weight_cell_mean_power_mW(dev, gemm, options);
+          const double mean_mW = weight_cell_power.mean_mW(dev);
           out.add(spec.category,
                   util::energy_pJ(mean_mW * count, runtime_ns));
         }

@@ -19,6 +19,11 @@
 //   * DM          — memory traffic energy from the CACTI-backed hierarchy.
 #pragma once
 
+#include <cstdint>
+#include <mutex>
+#include <span>
+#include <unordered_map>
+
 #include "arch/hierarchy.h"
 #include "arch/link_budget.h"
 #include "dataflow/dataflow.h"
@@ -41,12 +46,58 @@ struct EnergyOptions {
   bool include_data_movement = true;
 };
 
+/// Exact memo of the data-aware mean weight-cell power.  That mean depends
+/// only on the weight values and the device curve, so it is keyed on
+/// (GEMM content fingerprint, p_pi bit pattern, fidelity) and the weights
+/// are scanned once per key instead of once per (design point, sub-arch,
+/// weight-cell group).  Held by core::CostMatrixCache and cleared with it.
+///
+/// Thread-safe and first-writer-wins, like the cost cache: concurrent
+/// first uses of one key may each scan, and every scan of a key yields the
+/// same bits, so memoized energies equal unmemoized ones bit for bit.
+class WeightPowerMemo {
+ public:
+  /// The mean power of a phase-shifter weight cell with curve
+  /// (`p_pi_mW`, `fidelity`) over `weights`, scanned on the first call
+  /// for the key.  `gemm_key` must be the content fingerprint of the GEMM
+  /// owning `weights` (core::gemm_fingerprint).
+  [[nodiscard]] double mean_power_mW(uint64_t gemm_key, double p_pi_mW,
+                                     devlib::PowerFidelity fidelity,
+                                     std::span<const float> weights);
+
+  [[nodiscard]] size_t size() const;
+  void clear();
+
+ private:
+  struct Key {
+    uint64_t gemm = 0;
+    uint64_t p_pi_bits = 0;
+    devlib::PowerFidelity fidelity = devlib::PowerFidelity::kTabulated;
+    [[nodiscard]] bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& key) const;
+  };
+
+  mutable std::mutex mutex_;
+  std::unordered_map<Key, double, KeyHash> means_mW_;
+};
+
+/// Where compute_energy may find a memoized weight-cell power: the memo
+/// and the fingerprint of the GEMM being costed.  Without a memo the
+/// weights are scanned once per call for each device curve.
+struct WeightPowerLookup {
+  WeightPowerMemo* memo = nullptr;
+  uint64_t gemm_key = 0;
+};
+
 /// Computes the energy breakdown of one mapped GEMM.  `traffic` may be
 /// nullptr when data movement is excluded.
 [[nodiscard]] EnergyBreakdown compute_energy(
     const arch::SubArchitecture& subarch, const workload::GemmWorkload& gemm,
     const dataflow::DataflowResult& mapped,
     const arch::LinkBudgetReport& link,
-    const memory::TrafficResult* traffic, const EnergyOptions& options = {});
+    const memory::TrafficResult* traffic, const EnergyOptions& options = {},
+    const WeightPowerLookup& weight_power = {});
 
 }  // namespace simphony::energy

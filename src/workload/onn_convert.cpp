@@ -16,18 +16,28 @@ std::string to_string(WeightMode mode) {
   return "?";
 }
 
-Tensor quantize(const Tensor& t, int bits) {
+namespace {
+
+/// Symmetric grid of quantize(): levels at k / q for k in [-q, q],
+/// q = 2^(b-1) - 1 (q = 1 for b = 1), zero preserved exactly.
+double quantization_scale(int bits) {
   if (bits < 1 || bits > 16) {
     throw std::invalid_argument("quantization bits must be in [1, 16]");
   }
-  // Symmetric grid: levels at k / q for k in [-q, q], q = 2^(b-1) - 1
-  // (q = 1 for b = 1), zero preserved exactly.
-  const double q = std::max(1.0, std::pow(2.0, bits - 1) - 1.0);
+  return std::max(1.0, std::pow(2.0, bits - 1) - 1.0);
+}
+
+float quantize_value(float v, double q) {
+  const double clamped = std::clamp(static_cast<double>(v), -1.0, 1.0);
+  return static_cast<float>(std::round(clamped * q) / q);
+}
+
+}  // namespace
+
+Tensor quantize(const Tensor& t, int bits) {
+  const double q = quantization_scale(bits);
   Tensor out = t;
-  for (float& v : out.data()) {
-    const double clamped = std::clamp(static_cast<double>(v), -1.0, 1.0);
-    v = static_cast<float>(std::round(clamped * q) / q);
-  }
+  for (float& v : out.data()) v = quantize_value(v, q);
   return out;
 }
 
@@ -55,13 +65,13 @@ double convert_model_in_place(Model& model) {
   double max_err = 0.0;
   for (auto& layer : model.layers) {
     if (layer.weights.numel() == 0) continue;
-    const Tensor quantized = quantize(layer.weights, layer.weight_bits);
-    for (int64_t i = 0; i < quantized.numel(); ++i) {
-      max_err = std::max(
-          max_err, std::abs(static_cast<double>(quantized.at(i)) -
-                            layer.weights.at(i)));
+    const double q = quantization_scale(layer.weight_bits);
+    for (float& v : layer.weights.data()) {
+      const float quantized = quantize_value(v, q);
+      max_err = std::max(max_err, std::abs(static_cast<double>(quantized) -
+                                           static_cast<double>(v)));
+      v = quantized;
     }
-    layer.weights = quantized;
   }
   return max_err;
 }

@@ -164,6 +164,10 @@ TEST(AllocCount, WarmDesignPointCostsConstantHeapAllocations) {
     SCOPED_TRACE("greedy");
     expect_constant_allocs_per_point(sim, entry, GreedyMapper(), budget);
   }
+  // The weight-power memo is filled by the cold warm-up's cost misses
+  // and never consulted on the warm path the budget covers.
+  const size_t memo_entries = cache.weight_power().size();
+  EXPECT_GT(memo_entries, 0u);
   {
     SCOPED_TRACE("beam");
     expect_constant_allocs_per_point(
@@ -174,6 +178,7 @@ TEST(AllocCount, WarmDesignPointCostsConstantHeapAllocations) {
     expect_constant_allocs_per_point(
         sim, entry, BranchBoundMapper(MappingObjective::kEdp), budget);
   }
+  EXPECT_EQ(cache.weight_power().size(), memo_entries);
 }
 
 TEST(AllocCount, MapperScratchStaysOffTheHeapOnceWarm) {

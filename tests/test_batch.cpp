@@ -233,7 +233,16 @@ TEST(SimulateBatch, SharedCostCacheIsBitIdenticalAndHitsAcrossModels) {
                              plain.models[i].report);
   }
   // Identical layers on identical hardware share entries, so the second
-  // model is (at least partly) served from the first model's simulations.
+  // model is served from the first model's simulations.  Run serially:
+  // two models costed concurrently may both miss the same pair.
+  cache.clear();
+  BatchOptions serial;
+  serial.num_threads = 1;
+  const BatchReport serial_batch = cached.simulate_batch(set, mapper, serial);
+  for (size_t i = 0; i < set.size(); ++i) {
+    expect_reports_identical(serial_batch.models[i].report,
+                             plain.models[i].report);
+  }
   EXPECT_GT(cache.stats().hits, 0u);
 }
 

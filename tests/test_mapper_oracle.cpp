@@ -12,14 +12,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "arch/prebuilt.h"
 #include "core/dse.h"
+#include "core/engine.h"
 #include "core/simulator.h"
+#include "devlib/power_model.h"
+#include "energy/energy_model.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "workload/onn_convert.h"
 
@@ -526,6 +533,100 @@ TEST(MapperOracle, CacheStatsAreConsistent) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 0u);
+}
+
+/// An explore document without its per-request "cost_cache" counters.
+std::string explore_document(const ExploreResponse& response) {
+  util::Json document = response.to_json();
+  util::Json stripped{util::Json::Object{}};
+  for (const auto& [key, value] : document.as_object()) {
+    if (key != "cost_cache") stripped[key] = value;
+  }
+  return stripped.dump(2);
+}
+
+// The weight-power memo beside the cost cache: a cold sweep scans each
+// GEMM's weights once for the one phase-shifter curve SCATTER and the
+// Clements mesh share, and the memo never changes a result.
+TEST(MapperOracle, WeightPowerMemoHoldsOneEntryPerGemmAndChangesNothing) {
+  const ExploreRequest request = ExploreRequest::from_json(util::Json::parse(
+      R"({"models": [{"spec": "vgg8"}], "arch": ["scatter", "mzi"],
+          "mapping": "bnb", "objective": "edp", "num_threads": 2,
+          "sweep": {"size": [8, 16, 32], "cores": [1, 2],
+                    "tiles": [2, 4]}})"));
+  ExploreRequest uncached_request = request;
+  uncached_request.base.cost_cache = false;
+
+  Engine engine;
+  const ExploreResponse cold = engine.explore(request);
+  ASSERT_EQ(cold.result.points.size(), 12u);
+  EXPECT_GT(cold.cache.misses, 0u);
+
+  const WorkloadSet workloads = resolve_models(request.base).workloads;
+  const WorkloadSet::Entry& entry = workloads.at(0);
+  std::vector<uint64_t> keys;
+  for (size_t g = 0; g < entry.gemms.size(); ++g) {
+    if (entry.gemms[g].weights != nullptr) {
+      keys.push_back(entry.gemm_fingerprints[g]);
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  ASSERT_FALSE(keys.empty());
+  EXPECT_EQ(engine.cost_cache().weight_power().size(), keys.size());
+
+  // A warm repeat is all cost-cache hits and leaves the memo alone.
+  const ExploreResponse warm = engine.explore(request);
+  EXPECT_EQ(warm.cache.misses, 0u);
+  EXPECT_EQ(engine.cost_cache().weight_power().size(), keys.size());
+
+  Engine uncached_engine;
+  const ExploreResponse uncached = uncached_engine.explore(uncached_request);
+  EXPECT_FALSE(uncached.cache_attached);
+  EXPECT_EQ(uncached_engine.cost_cache().weight_power().size(), 0u);
+  EXPECT_EQ(explore_document(cold), explore_document(uncached));
+  EXPECT_EQ(explore_document(warm), explore_document(uncached));
+
+  engine.cost_cache().clear();
+  EXPECT_EQ(engine.cost_cache().weight_power().size(), 0u);
+  EXPECT_EQ(engine.cost_cache().size(), 0u);
+}
+
+// The memo returns the scan's own value for every key, even when many
+// threads ask for the same key at once, and clear() empties it.
+TEST(MapperOracle, WeightPowerMemoIsExactUnderConcurrentFirstUse) {
+  util::Rng rng(11);
+  const workload::Tensor weights =
+      workload::quantize(workload::Tensor::uniform({64, 64}, rng), 8);
+  const std::span<const float> values(weights.data());
+  const double p_pi = 20.0;
+  const auto curve =
+      devlib::make_phase_shifter_power(p_pi, devlib::PowerFidelity::kTabulated);
+  const double expected = curve->mean_power_mW(values);
+
+  energy::WeightPowerMemo memo;
+  std::vector<double> seen(8, 0.0);
+  {
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < seen.size(); ++t) {
+      threads.emplace_back([&, t] {
+        seen[t] = memo.mean_power_mW(42, p_pi,
+                                     devlib::PowerFidelity::kTabulated, values);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  for (double value : seen) EXPECT_EQ(value, expected);
+  EXPECT_EQ(memo.size(), 1u);
+
+  // Another fidelity or curve is another key.
+  (void)memo.mean_power_mW(42, p_pi, devlib::PowerFidelity::kAnalytical,
+                           values);
+  (void)memo.mean_power_mW(42, 2 * p_pi, devlib::PowerFidelity::kTabulated,
+                           values);
+  EXPECT_EQ(memo.size(), 3u);
+  memo.clear();
+  EXPECT_EQ(memo.size(), 0u);
 }
 
 }  // namespace

@@ -3,7 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "util/rng.h"
+#include "workload/onn_convert.h"
+#include "workload/tensor.h"
 
 namespace simphony::devlib {
 namespace {
@@ -95,6 +104,89 @@ TEST(PhaseShifterPower, FidelityNames) {
   EXPECT_EQ(to_string(PowerFidelity::kDataUnaware), "data-unaware");
   EXPECT_EQ(to_string(PowerFidelity::kAnalytical), "analytical");
   EXPECT_EQ(to_string(PowerFidelity::kTabulated), "tabulated");
+}
+
+TEST(PowerModel, TabulatedMapsNanToNan) {
+  auto m = make_phase_shifter_power(20.0, PowerFidelity::kTabulated);
+  EXPECT_TRUE(std::isnan(m->power_mW(std::nan(""))));
+}
+
+/// The plain sequential scan mean_power_mW must reproduce bit for bit.
+double sequential_mean(const PowerModel& model,
+                       std::span<const float> values) {
+  if (values.empty()) return 0.0;
+  double sum = 0.0;
+  for (float v : values) sum += model.power_mW(v);
+  return sum / static_cast<double>(values.size());
+}
+
+TEST(MeanPowerScan, BitIdenticalToSequentialSumForEveryFidelity) {
+  util::Rng rng(2024);
+  // Unquantized randn data has far more distinct values than the scan's
+  // table holds, and values outside [-1, 1].
+  const workload::Tensor randn = workload::Tensor::randn({96, 64}, rng);
+  const workload::Tensor uniform = workload::Tensor::uniform({96, 64}, rng);
+  std::vector<std::pair<std::string, std::vector<float>>> cases;
+  cases.emplace_back("randn", randn.data());
+  for (int bits : {1, 4, 8, 16}) {
+    cases.emplace_back("quantized " + std::to_string(bits) + "-bit",
+                       workload::quantize(uniform, bits).data());
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  cases.emplace_back(
+      "special", std::vector<float>{0.0f, -0.0f, 0.5f, nan, -0.0f, 1.5f,
+                                    -3.0f, inf, -inf, 0.0f, nan, -0.5f});
+  cases.emplace_back("signed zeros",
+                     std::vector<float>{-0.0f, 0.0f, -0.0f, 0.25f});
+  cases.emplace_back("empty", std::vector<float>{});
+
+  for (auto fidelity :
+       {PowerFidelity::kDataUnaware, PowerFidelity::kAnalytical,
+        PowerFidelity::kTabulated}) {
+    const auto model = make_phase_shifter_power(20.0, fidelity);
+    for (const auto& [name, values] : cases) {
+      const double scanned = model->mean_power_mW(values);
+      const double expected = sequential_mean(*model, values);
+      EXPECT_EQ(std::memcmp(&scanned, &expected, sizeof(double)), 0)
+          << to_string(fidelity) << " / " << name << ": " << scanned
+          << " vs " << expected;
+    }
+  }
+}
+
+TEST(MeanPowerScan, EvaluatesEachDistinctValueOnceUntilTheTableFills) {
+  // A counting model: power_mW calls are the observable cost.
+  class Counting final : public PowerModel {
+   public:
+    double power_mW(double value) const override {
+      ++calls;
+      return value * value;
+    }
+    PowerFidelity fidelity() const override {
+      return PowerFidelity::kAnalytical;
+    }
+    mutable size_t calls = 0;
+  };
+  util::Rng rng(7);
+  const std::vector<float> levels =
+      workload::quantize(workload::Tensor::uniform({4096}, rng), 4).data();
+  Counting counting;
+  (void)counting.mean_power_mW(levels);
+  EXPECT_LE(counting.calls, 16u);  // 4-bit grid: 15 levels plus -0
+
+  // 1000 distinct values fill the table part way through; repeats of the
+  // early (tabled) values are replayed, repeats of the late ones are
+  // evaluated again — with the same result either way.
+  std::vector<float> dense;
+  for (int i = 0; i < 1000; ++i) dense.push_back(static_cast<float>(i) / 1e3f);
+  for (int i = 0; i < 100; ++i) dense.push_back(dense[i]);
+  for (int i = 900; i < 1000; ++i) dense.push_back(dense[i]);
+  counting.calls = 0;
+  const double scanned = counting.mean_power_mW(dense);
+  EXPECT_EQ(counting.calls, 1100u);
+  const double expected = sequential_mean(counting, dense);
+  EXPECT_EQ(std::memcmp(&scanned, &expected, sizeof(double)), 0);
 }
 
 class PhaseSweep : public ::testing::TestWithParam<double> {};
