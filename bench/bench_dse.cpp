@@ -68,7 +68,7 @@ void BM_ExploreSerial(benchmark::State& state) {
   options.num_threads = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::explore(
-        arch::tempo_template(), standard_lib(), mlp_model(), space, options));
+        {arch::tempo_template()}, standard_lib(), mlp_model(), space, options));
   }
   state.counters["points"] =
       static_cast<double>(space.enumerate().size());
@@ -83,7 +83,7 @@ void BM_ExploreParallel(benchmark::State& state) {
       util::ThreadPool::global_bulk_stats();
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::explore(
-        arch::tempo_template(), standard_lib(), mlp_model(), space, options));
+        {arch::tempo_template()}, standard_lib(), mlp_model(), space, options));
   }
   set_scheduling_counters(state, before);
   state.counters["points"] =
@@ -120,7 +120,7 @@ void BM_ExploreHalving(benchmark::State& state) {
       options.low_fidelity_mapper = &low;
     }
     const core::DseResult result = core::explore(
-        arch::tempo_template(), standard_lib(), mlp_model(), space, options);
+        {arch::tempo_template()}, standard_lib(), mlp_model(), space, options);
     benchmark::DoNotOptimize(result);
     result_points = result.points.size();
     full_evals = 0;
@@ -156,7 +156,7 @@ void BM_ExploreCachedDuplicates(benchmark::State& state) {
   options.cache = state.range(0) != 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::explore(
-        arch::tempo_template(), standard_lib(), mlp_model(), space, options));
+        {arch::tempo_template()}, standard_lib(), mlp_model(), space, options));
   }
 }
 BENCHMARK(BM_ExploreCachedDuplicates)
@@ -182,7 +182,7 @@ void BM_ExploreBatched(benchmark::State& state) {
   core::DseOptions options;
   options.num_threads = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::explore(arch::tempo_template(),
+    benchmark::DoNotOptimize(core::explore({arch::tempo_template()},
                                            standard_lib(), set, space,
                                            options));
   }
@@ -209,7 +209,7 @@ void BM_ExploreSeparatePerModel(benchmark::State& state) {
   for (auto _ : state) {
     for (const workload::Model& model : models) {
       benchmark::DoNotOptimize(core::explore(
-          arch::tempo_template(), standard_lib(), model, space, options));
+          {arch::tempo_template()}, standard_lib(), model, space, options));
     }
   }
   state.counters["models"] = static_cast<double>(k);

@@ -98,7 +98,7 @@ int main() {
   core::DseOptions options;  // num_threads = 0: one worker per hw thread
   const auto t0 = std::chrono::steady_clock::now();
   const core::DseResult result = core::explore(
-      arch::tempo_template(), devlib::DeviceLibrary::standard(), model,
+      {arch::tempo_template()}, devlib::DeviceLibrary::standard(), model,
       space, options);
   const double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
 
   const auto t0 = std::chrono::steady_clock::now();
   const core::DseResult result =
-      core::explore(arch::tempo_template(), lib, model, space, options);
+      core::explore({arch::tempo_template()}, lib, model, space, options);
   const double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();

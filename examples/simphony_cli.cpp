@@ -575,31 +575,31 @@ int run_dse(core::Engine& engine, const core::ExploreRequest& request,
 
   // --out streams each point the moment it completes (completion order;
   // the "index" field is the canonical position) through DseShardWriter's
-  // durable file sink: bytes land in FILE.tmp with an fsync per point and
-  // finish() atomically renames onto FILE — the final path only ever
-  // holds a complete document, and the .tmp survives a hard kill for
-  // --resume.  --merge restores canonical order and recomputes the
-  // frontier.
+  // durable file sink: bytes land in FILE.tmp with an fsync per point, and
+  // finish() commits FILE with the points sorted by canonical index — the
+  // final path only ever holds a complete document, the same for any
+  // --threads, and the .tmp survives a hard kill for --resume.  --merge
+  // restores canonical order and recomputes the frontier.
   std::unique_ptr<core::DseShardWriter> shard_writer;
-  core::Engine::ExploreHooks hooks;
   if (!out_path.empty()) {
     shard_writer = std::make_unique<core::DseShardWriter>(out_path, metadata);
-    // Re-emit the recovered prefix first: with --threads 1 the resumed
-    // file is then byte-identical to an uninterrupted run's.
+    // Re-emit the recovered prefix first; the committed file is then
+    // byte-identical to an uninterrupted run's.
     for (const core::DsePoint& pt : recovered.points) {
       shard_writer->add_point(pt);
     }
-    hooks.on_point = [&](const core::DsePoint& pt) {
-      shard_writer->add_point(pt);
-    };
   }
+  core::Engine::ExploreHooks hooks;
   if (!skip_indices.empty()) hooks.skip_indices = &skip_indices;
 
-  // SIGINT/SIGTERM unwind cooperatively at the next completed point (the
-  // point itself is streamed before the check fires), so the shard file
-  // and the cache capture every finished evaluation.
+  // SIGINT/SIGTERM unwind cooperatively at the next completed evaluation.
+  // The point is streamed before the check fires, so the shard file and
+  // the cache capture every finished evaluation.
   util::ScopedSignalGuard signal_guard;
-  hooks.on_progress = [](const core::Progress&) {
+  hooks.on_progress = [&](const core::Progress& progress) {
+    if (shard_writer != nullptr && progress.point != nullptr) {
+      shard_writer->add_point(*progress.point);
+    }
     if (util::ScopedSignalGuard::interrupted()) throw CliInterrupt{};
   };
 

@@ -1,18 +1,18 @@
 #include "core/dse.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -165,101 +165,85 @@ ModelTotals simulate_point_model(
   return sim.simulate_gemms_totals(gemms, chosen_mapper, nullptr, nullptr);
 }
 
+/// One model of a sweep's workload as the per-point evaluator sees it: a
+/// view of GEMMs extracted once per explore() call (or at
+/// WorkloadSet::add), whose weight tensors still point into the model.
+struct ModelGemms {
+  std::string_view name;
+  double weight = 1.0;
+  const std::vector<workload::GemmWorkload>* gemms = nullptr;
+  /// gemm_fingerprint of each GEMM, or nullptr to fingerprint on demand.
+  const uint64_t* fingerprints = nullptr;
+};
+
 /// Costs one parameter point.  All heavyweight inputs (templates, library,
 /// extracted GEMMs) are shared immutably across concurrent callers; the
-/// only per-point allocations are the materialized sub-architectures and a
-/// vector of small GemmWorkload records whose weight tensors still point
-/// into the caller's Model.  With a mapper set, the point is costed under
-/// the layer-to-sub-arch assignment that mapper picks for it; otherwise
-/// everything runs on sub-arch 0 (the pre-mapper behavior).
+/// architecture is materialized ONCE per point and every model runs on it
+/// (per-model memory sizing and mapping search, exactly the
+/// simulate_point_model flow).  A single model's point is that model's
+/// own totals.  With more models the point's objective metrics are the
+/// aggregate fold over them (area is the per-model max: one chip must fit
+/// every model's memory sizing) and the per-model rows ride along.
 DsePoint evaluate_point(
     const std::vector<std::shared_ptr<const arch::PtcTemplate>>&
         ptc_templates,
-    const devlib::DeviceLibrary& lib,
-    const std::vector<workload::GemmWorkload>& base_gemms,
-    const arch::ArchParams& params, bool override_input_bits,
-    bool override_output_bits, const Mapper* mapper,
-    CostMatrixCache* cost_cache, const uint64_t* base_gemm_keys,
-    bool want_p99) {
-  const Simulator sim =
-      make_point_simulator(ptc_templates, lib, params, cost_cache);
-  const ModelTotals totals =
-      simulate_point_model(sim, base_gemms, params, override_input_bits,
-                           override_output_bits, mapper, base_gemm_keys);
-
-  DsePoint point;
-  point.params = params;
-  point.energy_pJ = totals.energy_pJ();
-  point.latency_ns = totals.runtime_ns;
-  point.area_mm2 = totals.total_area_mm2();
-  point.power_W = totals.average_power_W();
-  point.tops = totals.tops();
-  if (want_p99) {
-    // Single-model stream: the single-service-time tail formula.
-    const double latency = totals.runtime_ns;
-    const double one = 1.0;
-    point.p99_latency_ns = p99_latency_ns(&latency, &one, 1);
-  }
-  return point;
-}
-
-/// Costs one parameter point for a whole WorkloadSet: the architecture is
-/// materialized ONCE and every model runs on it (per-model memory sizing
-/// and mapping search, exactly the simulate_point_model flow — per-model
-/// metrics are bit-identical to a single-model explore of that model).
-/// The point's objective metrics are the aggregate fold over the batch;
-/// area is the per-model max (one chip must fit every model's memory
-/// sizing).
-DsePoint evaluate_batch_point(
-    const std::vector<std::shared_ptr<const arch::PtcTemplate>>&
-        ptc_templates,
-    const devlib::DeviceLibrary& lib, const WorkloadSet& workloads,
+    const devlib::DeviceLibrary& lib, const std::vector<ModelGemms>& models,
     const arch::ArchParams& params, bool override_input_bits,
     bool override_output_bits, const Mapper* mapper,
     CostMatrixCache* cost_cache, BatchAggregate aggregate, bool want_p99) {
   const Simulator sim =
       make_point_simulator(ptc_templates, lib, params, cost_cache);
 
+  std::vector<BatchModelSlice> slices;
+  slices.reserve(models.size());
+  for (const ModelGemms& model : models) {
+    const ModelTotals totals =
+        simulate_point_model(sim, *model.gemms, params, override_input_bits,
+                             override_output_bits, mapper, model.fingerprints);
+    BatchModelSlice slice;
+    slice.energy_pJ = totals.energy_pJ();
+    slice.latency_ns = totals.runtime_ns;
+    slice.area_mm2 = totals.total_area_mm2();
+    slice.macs = totals.macs;
+    slice.weight = model.weight;
+    slice.power_W = totals.average_power_W();
+    slice.tops = totals.tops();
+    slices.push_back(slice);
+  }
+
   DsePoint point;
   point.params = params;
-  point.per_model.reserve(workloads.size());
-  std::vector<BatchModelSlice> slices;
-  slices.reserve(workloads.size());
-  for (size_t i = 0; i < workloads.size(); ++i) {
-    const WorkloadSet::Entry& entry = workloads.at(i);
-    const ModelTotals totals =
-        simulate_point_model(sim, entry.gemms, params, override_input_bits,
-                             override_output_bits, mapper,
-                             entry.gemm_fingerprints.data());
-    DseModelMetrics metrics;
-    metrics.model = entry.name;
-    metrics.weight = entry.weight;
-    metrics.energy_pJ = totals.energy_pJ();
-    metrics.latency_ns = totals.runtime_ns;
-    metrics.area_mm2 = totals.total_area_mm2();
-    metrics.power_W = totals.average_power_W();
-    metrics.tops = totals.tops();
-    BatchModelSlice slice;
-    slice.energy_pJ = metrics.energy_pJ;
-    slice.latency_ns = metrics.latency_ns;
-    slice.area_mm2 = metrics.area_mm2;
-    slice.macs = totals.macs;
-    slice.weight = entry.weight;
-    slice.power_W = metrics.power_W;
-    slice.tops = metrics.tops;
-    slices.push_back(slice);
-    point.per_model.push_back(std::move(metrics));
+  if (slices.size() == 1) {
+    point.energy_pJ = slices[0].energy_pJ;
+    point.latency_ns = slices[0].latency_ns;
+    point.area_mm2 = slices[0].area_mm2;
+    point.power_W = slices[0].power_W;
+    point.tops = slices[0].tops;
+  } else {
+    point.per_model.reserve(slices.size());
+    for (size_t i = 0; i < slices.size(); ++i) {
+      DseModelMetrics metrics;
+      metrics.model = std::string(models[i].name);
+      metrics.weight = slices[i].weight;
+      metrics.energy_pJ = slices[i].energy_pJ;
+      metrics.latency_ns = slices[i].latency_ns;
+      metrics.area_mm2 = slices[i].area_mm2;
+      metrics.power_W = slices[i].power_W;
+      metrics.tops = slices[i].tops;
+      point.per_model.push_back(std::move(metrics));
+    }
+    const BatchFold fold = fold_batch(aggregate, slices);
+    point.energy_pJ = fold.energy_pJ;
+    point.latency_ns = fold.latency_ns;
+    point.area_mm2 = fold.area_mm2;
+    point.power_W = fold.power_W;
+    point.tops = fold.tops;
   }
-  const BatchFold fold = fold_batch(aggregate, slices);
-  point.energy_pJ = fold.energy_pJ;
-  point.latency_ns = fold.latency_ns;
-  point.area_mm2 = fold.area_mm2;
-  point.power_W = fold.power_W;
-  point.tops = fold.tops;
   if (want_p99) {
-    // Tail latency of the batch as an arrival mix: each model is a job
+    // Tail latency of the workload as an arrival mix: each model is a job
     // class whose service time is its end-to-end latency and whose arrival
-    // share is its batch weight (M/G/1 approximation, see core/metrics.h).
+    // share is its weight (M/G/1 approximation, see core/metrics.h).  A
+    // single model's share is w/w = 1: the single-stream formula.
     std::vector<double> latencies;
     std::vector<double> weights;
     latencies.reserve(slices.size());
@@ -762,11 +746,16 @@ DsePoint dse_point_from_json(const util::Json& j) {
 
 namespace {
 
+/// Closes the "points" array and the document.
+constexpr char kFooter[] = "\n]\n}\n";
+
 /// Back-compat sink over a caller-owned std::ostream (stringstreams in
-/// tests, pre-durability file streams).  No commit step.
+/// tests, pre-durability file streams).  commit() rewrites the document
+/// in place: same length, points reordered.
 class OstreamSink final : public ShardSink {
  public:
-  explicit OstreamSink(std::ostream& out) : out_(&out) {}
+  explicit OstreamSink(std::ostream& out)
+      : out_(&out), start_(static_cast<uint64_t>(out.tellp())) {}
   void write(const std::string& text) override { *out_ << text; }
   uint64_t tell() override {
     return static_cast<uint64_t>(out_->tellp());
@@ -775,27 +764,30 @@ class OstreamSink final : public ShardSink {
     out_->seekp(static_cast<std::ostream::pos_type>(pos));
   }
   void flush() override { out_->flush(); }
+  void commit(const std::string& document) override {
+    seek(start_);
+    write(document);
+    flush();
+  }
 
  private:
   std::ostream* out_;
+  uint64_t start_;
 };
 
-/// Durable file sink: all bytes land in `path + ".tmp"`; every flush()
-/// is an fflush + fsync (the in-progress file survives a hard kill up to
-/// the last completed point); commit() renames the temp file onto
-/// `path`, so the final document appears atomically.  Reuses
-/// util::AtomicFileOutputStream's open/rename plumbing indirectly via
-/// plain stdio here because the shard writer needs seek support, which
-/// the append-only binio stream deliberately does not offer.
+/// Durable file sink: the streamed bytes land in `path + ".tmp"`; every
+/// flush() is an fflush + fsync (the in-progress file survives a hard
+/// kill up to the last completed point); commit() writes the finished
+/// document to a temp file of its own and renames that onto `path`, so
+/// the final document appears atomically.  Mirrors
+/// util::AtomicFileOutputStream's open/rename plumbing with plain stdio
+/// here because the shard writer needs seek support, which the
+/// append-only binio stream deliberately does not offer.
 class AtomicFileSink final : public ShardSink {
  public:
   explicit AtomicFileSink(std::string path)
       : path_(std::move(path)), temp_path_(path_ + ".tmp") {
-    file_ = std::fopen(temp_path_.c_str(), "wb");
-    if (file_ == nullptr) {
-      throw util::IoError("cannot open '" + temp_path_ +
-                          "' for writing: " + std::strerror(errno));
-    }
+    open_temp();
   }
 
   ~AtomicFileSink() override {
@@ -839,21 +831,42 @@ class AtomicFileSink final : public ShardSink {
 #endif
   }
 
-  void commit() override {
+  void commit(const std::string& document) override {
     require_open("commit");
     flush();
-    std::FILE* file = std::exchange(file_, nullptr);
-    if (std::fclose(file) != 0) {
-      throw util::IoError("close failed on '" + temp_path_ +
-                          "': " + std::strerror(errno));
-    }
+    close_temp();
+    // The streamed .tmp stays intact — and resumable — until the
+    // finished document is durable under its own name and renamed onto
+    // `path`: a kill at any instant leaves one or the other.
+    const std::string streamed_path =
+        std::exchange(temp_path_, path_ + ".sorted.tmp");
+    open_temp();
+    write(document);
+    flush();
+    close_temp();
     if (std::rename(temp_path_.c_str(), path_.c_str()) != 0) {
       throw util::IoError("rename '" + temp_path_ + "' -> '" + path_ +
                           "' failed: " + std::strerror(errno));
     }
+    std::remove(streamed_path.c_str());
   }
 
  private:
+  void open_temp() {
+    file_ = std::fopen(temp_path_.c_str(), "wb");
+    if (file_ == nullptr) {
+      throw util::IoError("cannot open '" + temp_path_ +
+                          "' for writing: " + std::strerror(errno));
+    }
+  }
+
+  void close_temp() {
+    if (std::fclose(std::exchange(file_, nullptr)) != 0) {
+      throw util::IoError("close failed on '" + temp_path_ +
+                          "': " + std::strerror(errno));
+    }
+  }
+
   uint64_t tell_raw() {
     const long pos = std::ftell(file_);
     if (pos < 0) {
@@ -913,11 +926,12 @@ DseShardWriter::DseShardWriter(std::unique_ptr<ShardSink> sink,
   header += ",\n\"total_points\": " + std::to_string(metadata.total_points);
   header += ",\n\"points\": [";
   sink_->write(header);
+  header_ = std::move(header);
   // Terminate the document immediately: a sweep killed while its first
   // (possibly expensive) point is still simulating must already leave a
   // parseable zero-point shard on disk.
   const uint64_t header_end = sink_->tell();
-  sink_->write("\n]\n}\n");
+  sink_->write(kFooter);
   sink_->flush();
   sink_->seek(header_end);
 }
@@ -934,16 +948,14 @@ void DseShardWriter::add_point(const DsePoint& point) {
   if (finished_) {
     throw std::logic_error("DseShardWriter: add_point after finish");
   }
-  std::string text;
-  if (any_points_) text += ",";
-  any_points_ = true;
-  text += "\n" + to_json(point).dump(-1);
-  sink_->write(text);
+  std::string line = to_json(point).dump(-1);
+  sink_->write((points_.empty() ? "\n" : ",\n") + line);
+  points_.emplace_back(point.index, std::move(line));
   // Re-terminate the document, flush it, then seek the put pointer back
   // over the footer: the bytes on disk always form a complete document,
   // and the next point simply overwrites the footer.
   const uint64_t point_end = sink_->tell();
-  sink_->write("\n]\n}\n");
+  sink_->write(kFooter);
   sink_->flush();
   sink_->seek(point_end);
 }
@@ -951,12 +963,18 @@ void DseShardWriter::add_point(const DsePoint& point) {
 void DseShardWriter::finish() {
   if (finished_) return;
   finished_ = true;
-  // The footer is already in the stream past the put pointer — the
-  // constructor wrote it for the zero-point state and every add_point
-  // rewrote it; flush the last bytes, then let the sink finalize (atomic
-  // rename for the file-backed writer).
-  sink_->flush();
-  sink_->commit();
+  // The stream holds the points in completion order; the committed
+  // document lists them by canonical index, so it is the same for any
+  // thread count.
+  std::stable_sort(
+      points_.begin(), points_.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::string document = header_;
+  for (size_t i = 0; i < points_.size(); ++i) {
+    document += (i == 0 ? "\n" : ",\n") + points_[i].second;
+  }
+  document += kFooter;
+  sink_->commit(document);
 }
 
 DseShardWriter::~DseShardWriter() {
@@ -1098,25 +1116,27 @@ DseResult dse_result_from_json(const util::Json& j) {
 
 namespace {
 
-/// The strategy-driven engine loop (DseOptions::strategy != nullptr):
-/// hands the strategy this shard's slice of the canonical point list,
-/// then alternates next_batch() / consume() — deduplicating identical
-/// (params, fidelity) evaluations across batches, evaluating fresh
-/// candidates on the pool — until the strategy is done, and restores
-/// canonical index order over finish().
+using Evaluator =
+    std::function<DsePoint(const arch::ArchParams&, FidelityLevel)>;
+
+/// The engine loop: hands the strategy this shard's slice of the
+/// canonical point list, then alternates next_batch() / consume() —
+/// deduplicating identical (params, fidelity) evaluations across batches,
+/// evaluating fresh candidates on the pool — until the strategy is done,
+/// and restores canonical index order over finish().
 DseResult run_strategy_engine(
     const std::vector<arch::ArchParams>& all_points,
-    const DseOptions& options,
-    const std::function<void(const DsePoint&)>& progress,
-    const std::function<DsePoint(const arch::ArchParams&, FidelityLevel)>&
-        evaluate) {
-  ExploreStrategy& strategy = *options.strategy;
+    const DseOptions& options, ExploreStrategy& strategy,
+    const Evaluator& evaluate) {
   ExploreStrategy::Context context;
   context.total_points = all_points.size();
   context.skip_indices = options.skip_indices;
   context.slice.reserve(
       all_points.size() / static_cast<size_t>(options.shard.count) + 1);
   size_t skipped = 0;
+  // This process's slice: canonical indices congruent to the shard index
+  // modulo the shard count (round-robin, so shards stay load-balanced
+  // even when cost grows along the grid).
   for (size_t g = static_cast<size_t>(options.shard.index);
        g < all_points.size(); g += static_cast<size_t>(options.shard.count)) {
     // Skipped (resumed) indices stay in the slice — a strategy may need
@@ -1131,32 +1151,21 @@ DseResult run_strategy_engine(
   }
   strategy.begin(std::move(context));
 
-  const size_t progress_every =
-      static_cast<size_t>(std::max(1, options.progress_every));
+  // One callback per completed evaluation, serialized so `completed` is
+  // strictly increasing.  The denominator is the evaluations scheduled so
+  // far (a strategy's total work is not known up front), and only
+  // full-fidelity completions carry their point: low-fidelity probes are
+  // engine-internal and never part of the result.
   std::mutex progress_mutex;
   size_t completed = skipped;
   size_t scheduled = skipped;
-  // Milestones work as in the one-shot path, except the denominator is
-  // the evaluations scheduled so far (a strategy's total work is not
-  // known up front), so every batch boundary lands a callback.  The
-  // positional `progress` hook is the result stream (--out shard files):
-  // only full-fidelity completions reach it — low-fidelity probes are
-  // engine-internal and never part of the result.
   auto report_progress = [&](const DsePoint& point, FidelityLevel fidelity) {
-    if (!progress && !options.on_progress &&
-        !options.CommonOptions::on_progress) {
-      return;
-    }
+    if (!options.on_progress) return;
     std::lock_guard<std::mutex> lock(progress_mutex);
     ++completed;
-    if (completed % progress_every != 0 && completed != scheduled) return;
-    if (progress && fidelity == FidelityLevel::kFull) progress(point);
-    if (options.on_progress) {
-      options.on_progress(DseProgress{{completed, scheduled}, &point});
-    }
-    if (options.CommonOptions::on_progress) {
-      options.CommonOptions::on_progress(Progress{completed, scheduled});
-    }
+    options.on_progress(Progress{
+        completed, scheduled,
+        fidelity == FidelityLevel::kFull ? &point : nullptr});
   };
 
   // Cross-batch memo: one evaluation per distinct (params, fidelity),
@@ -1206,6 +1215,11 @@ DseResult run_strategy_engine(
       scheduled += batch.size();
     }
 
+    // Fresh candidates run on one chunked parallel_for (the caller
+    // participates) writing indexed slots, so a point's result is
+    // bit-identical on any thread.  One failed point — or a throwing
+    // progress observer — stops new chunks being claimed, and the lowest
+    // failing point's exception reaches the caller.
     const unsigned pool_threads = util::ThreadPool::workers_for(
         options.num_threads, fresh_candidate.size());
     {
@@ -1244,18 +1258,14 @@ DseResult run_strategy_engine(
   return result;
 }
 
-/// The exploration engine shared by the single-model and batched
-/// overloads: canonical point list, shard slicing, duplicate-point
-/// dedup, pooled evaluation with indexed writes, progress accounting,
-/// assembly in canonical order, frontier marking.  `evaluate` costs one
-/// parameter point at a requested fidelity (it must be thread-safe; the
-/// engine shares it across workers).  With DseOptions::strategy set the
-/// strategy loop above drives the evaluations instead.
-DseResult run_engine(
-    const DseSpace& space, const DseOptions& options,
-    const std::function<void(const DsePoint&)>& progress,
-    const std::function<DsePoint(const arch::ArchParams&, FidelityLevel)>&
-        evaluate) {
+/// The exploration engine behind both explore() overloads: canonical
+/// point list, shard validation, then the strategy loop above —
+/// DseOptions::strategy, or a OneShotStrategy that evaluates the whole
+/// slice in one batch.  `evaluate` costs one parameter point at a
+/// requested fidelity (it must be thread-safe; the engine shares it
+/// across workers).
+DseResult run_engine(const DseSpace& space, const DseOptions& options,
+                     const Evaluator& evaluate) {
   if (options.shard.count < 1 || options.shard.index < 0 ||
       options.shard.index >= options.shard.count) {
     throw std::invalid_argument(
@@ -1266,119 +1276,10 @@ DseResult run_engine(
   const std::vector<arch::ArchParams> all_points =
       options.sampler != nullptr ? options.sampler->sample(space)
                                  : space.enumerate();
-  if (options.strategy != nullptr) {
-    return run_strategy_engine(all_points, options, progress, evaluate);
-  }
-  // This process's slice: canonical indices congruent to the shard index
-  // modulo the shard count (round-robin, so shards stay load-balanced
-  // even when cost grows along the grid).
-  std::vector<arch::ArchParams> grid;
-  std::vector<size_t> canonical;
-  grid.reserve(all_points.size() / static_cast<size_t>(options.shard.count) +
-               1);
-  size_t skipped = 0;
-  for (size_t g = static_cast<size_t>(options.shard.index);
-       g < all_points.size(); g += static_cast<size_t>(options.shard.count)) {
-    // Resume: indices already recovered from an interrupted run are not
-    // re-evaluated; the caller merges the recovered points back in.
-    if (options.skip_indices != nullptr &&
-        options.skip_indices->count(g) != 0) {
-      ++skipped;
-      continue;
-    }
-    grid.push_back(all_points[g]);
-    canonical.push_back(g);
-  }
-
-  // Collapse duplicate parameter points: eval_of[g] is the slot in
-  // `evaluated` holding grid point g's result; only the first occurrence
-  // of each distinct ArchParams is actually simulated.
-  std::vector<size_t> eval_of(grid.size());
-  std::vector<size_t> unique_grid_index;
-  if (options.cache) {
-    std::unordered_map<arch::ArchParams, size_t, ArchParamsHash> slot_of_params;
-    slot_of_params.reserve(grid.size());
-    for (size_t g = 0; g < grid.size(); ++g) {
-      const auto [it, inserted] =
-          slot_of_params.try_emplace(grid[g], unique_grid_index.size());
-      if (inserted) unique_grid_index.push_back(g);
-      eval_of[g] = it->second;
-    }
-  } else {
-    unique_grid_index.resize(grid.size());
-    std::iota(unique_grid_index.begin(), unique_grid_index.end(), size_t{0});
-    std::iota(eval_of.begin(), eval_of.end(), size_t{0});
-  }
-
-  // More workers than unique points would just be idle threads (or a
-  // resource-exhaustion failure for absurd requests): workers_for clamps,
-  // resolves 0 to the hardware thread count, maps 1 (and a clamp to 1) to
-  // inline execution, and rejects negative requests.
-  const unsigned pool_threads = util::ThreadPool::workers_for(
-      options.num_threads, unique_grid_index.size());
-  const size_t progress_every =
-      static_cast<size_t>(std::max(1, options.progress_every));
-
-  // Skipped (resumed) indices count as completed up front: their results
-  // already exist, so progress keeps the monotone completed/n_total
-  // invariant and the final callback lands at n_total instead of a
-  // stuck-looking fraction of it.
-  const size_t n_total = grid.size() + skipped;
-  std::mutex progress_mutex;
-  size_t completed = skipped;
-  auto report_progress = [&](const DsePoint& point) {
-    if (!progress && !options.on_progress &&
-        !options.CommonOptions::on_progress) {
-      return;
-    }
-    std::lock_guard<std::mutex> lock(progress_mutex);
-    ++completed;
-    // Milestones: every Nth completion plus — exactly once, since the
-    // mutex makes `completed` monotone — the final point of the shard.
-    if (completed % progress_every != 0 && completed != n_total) return;
-    if (progress) progress(point);
-    if (options.on_progress) {
-      options.on_progress(DseProgress{{completed, n_total}, &point});
-    }
-    if (options.CommonOptions::on_progress) {
-      options.CommonOptions::on_progress(Progress{completed, n_total});
-    }
-  };
-
-  // Evaluate the unique points with one chunked parallel_for (the caller
-  // participates; workers steal chunks of points as their own run dry).
-  // Results are written to indexed slots, so the assembled order below is
-  // the grid order no matter which participant finishes first; a given
-  // point runs the same instruction sequence on any thread, so results
-  // are bit-identical across thread counts.  One failed point fails the
-  // whole sweep: no new chunks are claimed after a throw (a throwing
-  // progress callback also aborts) and the lowest failing point's
-  // exception reaches the caller.
-  std::vector<DsePoint> evaluated(unique_grid_index.size());
-  {
-    util::ThreadPool pool(pool_threads);
-    pool.parallel_for(unique_grid_index.size(), [&](size_t u) {
-      evaluated[u] = evaluate(grid[unique_grid_index[u]], FidelityLevel::kFull);
-      evaluated[u].index = canonical[unique_grid_index[u]];
-      report_progress(evaluated[u]);
-    });
-  }
-
-  DseResult result;
-  result.points.reserve(grid.size());
-  for (size_t g = 0; g < grid.size(); ++g) {
-    result.points.push_back(evaluated[eval_of[g]]);
-    result.points.back().index = canonical[g];
-    // Cache hits complete here, not on a worker; count them for progress
-    // so callers see every grid point exactly once and the final callback
-    // lands at completed == n_total.
-    if (options.cache && unique_grid_index[eval_of[g]] != g) {
-      report_progress(result.points.back());
-    }
-  }
-
-  mark_pareto_frontier(result.points, pareto_axes(options.objective));
-  return result;
+  OneShotStrategy one_shot;
+  return run_strategy_engine(
+      all_points, options,
+      options.strategy != nullptr ? *options.strategy : one_shot, evaluate);
 }
 
 std::vector<std::shared_ptr<const arch::PtcTemplate>> share_templates(
@@ -1395,34 +1296,22 @@ std::vector<std::shared_ptr<const arch::PtcTemplate>> share_templates(
   return shared_templates;
 }
 
-}  // namespace
-
-DseResult explore(const std::vector<arch::PtcTemplate>& ptc_templates,
-                  const devlib::DeviceLibrary& lib,
-                  const workload::Model& model, const DseSpace& space,
-                  const DseOptions& options,
-                  const std::function<void(const DsePoint&)>& progress) {
-  // Hoisted per-point invariants: shared templates, one GEMM extraction.
+/// Runs the engine with the per-point evaluator over `models`.
+DseResult explore_models(
+    const std::vector<arch::PtcTemplate>& ptc_templates,
+    const devlib::DeviceLibrary& lib, const std::vector<ModelGemms>& models,
+    const DseSpace& space, const DseOptions& options) {
+  // Hoisted per-point invariants: shared templates, GEMMs extracted once.
   const std::vector<std::shared_ptr<const arch::PtcTemplate>>
       shared_templates = share_templates(ptc_templates);
-  const std::vector<workload::GemmWorkload> base_gemms =
-      workload::extract_gemms(model);
+  if (models.empty()) {
+    throw std::invalid_argument("explore needs a non-empty WorkloadSet");
+  }
   const bool override_input_bits = !space.input_bits.empty();
   const bool override_output_bits = !space.output_bits.empty();
-  // With no swept bit axis every point costs the identical GEMMs, so the
-  // workload-side cache fingerprints (which content-hash the weight
-  // tensors) are computed once for the whole sweep instead of per point.
-  std::vector<uint64_t> base_keys;
-  if (options.cost_cache != nullptr && !override_input_bits &&
-      !override_output_bits) {
-    base_keys.reserve(base_gemms.size());
-    for (const auto& gemm : base_gemms) {
-      base_keys.push_back(gemm_fingerprint(gemm));
-    }
-  }
   const bool want_p99 = options.objective.references(Metric::kP99Latency);
   return run_engine(
-      space, options, progress,
+      space, options,
       [&](const arch::ArchParams& params, FidelityLevel fidelity) {
         // kLow substitutes the cheap mapper; with none configured the
         // full mapper runs (correct, just saves nothing).
@@ -1431,65 +1320,49 @@ DseResult explore(const std::vector<arch::PtcTemplate>& ptc_templates,
                     options.low_fidelity_mapper != nullptr
                 ? options.low_fidelity_mapper
                 : options.mapper;
-        return evaluate_point(shared_templates, lib, base_gemms, params,
+        return evaluate_point(shared_templates, lib, models, params,
                               override_input_bits, override_output_bits,
-                              mapper, options.cost_cache,
-                              base_keys.empty() ? nullptr : base_keys.data(),
+                              mapper, options.cost_cache, options.aggregate,
                               want_p99);
       });
+}
+
+}  // namespace
+
+DseResult explore(const std::vector<arch::PtcTemplate>& ptc_templates,
+                  const devlib::DeviceLibrary& lib,
+                  const workload::Model& model, const DseSpace& space,
+                  const DseOptions& options) {
+  const std::vector<workload::GemmWorkload> gemms =
+      workload::extract_gemms(model);
+  // With no swept bit axis every point costs the identical GEMMs, so the
+  // cost-cache fingerprints (which content-hash the weight tensors) are
+  // computed once for the whole sweep instead of per point.
+  std::vector<uint64_t> keys;
+  if (options.cost_cache != nullptr && space.input_bits.empty() &&
+      space.output_bits.empty()) {
+    keys.reserve(gemms.size());
+    for (const auto& gemm : gemms) keys.push_back(gemm_fingerprint(gemm));
+  }
+  return explore_models(
+      ptc_templates, lib,
+      {ModelGemms{model.name, 1.0, &gemms,
+                  keys.empty() ? nullptr : keys.data()}},
+      space, options);
 }
 
 DseResult explore(const std::vector<arch::PtcTemplate>& ptc_templates,
                   const devlib::DeviceLibrary& lib,
                   const WorkloadSet& workloads, const DseSpace& space,
-                  const DseOptions& options,
-                  const std::function<void(const DsePoint&)>& progress) {
-  const std::vector<std::shared_ptr<const arch::PtcTemplate>>
-      shared_templates = share_templates(ptc_templates);
-  if (workloads.empty()) {
-    throw std::invalid_argument("explore needs a non-empty WorkloadSet");
+                  const DseOptions& options) {
+  std::vector<ModelGemms> models;
+  models.reserve(workloads.size());
+  for (size_t i = 0; i < workloads.size(); ++i) {
+    const WorkloadSet::Entry& entry = workloads.at(i);
+    models.push_back(ModelGemms{entry.name, entry.weight, &entry.gemms,
+                                entry.gemm_fingerprints.data()});
   }
-  const bool override_input_bits = !space.input_bits.empty();
-  const bool override_output_bits = !space.output_bits.empty();
-  const bool want_p99 = options.objective.references(Metric::kP99Latency);
-  return run_engine(
-      space, options, progress,
-      [&](const arch::ArchParams& params, FidelityLevel fidelity) {
-        const Mapper* mapper =
-            fidelity == FidelityLevel::kLow &&
-                    options.low_fidelity_mapper != nullptr
-                ? options.low_fidelity_mapper
-                : options.mapper;
-        return evaluate_batch_point(shared_templates, lib, workloads, params,
-                                    override_input_bits, override_output_bits,
-                                    mapper, options.cost_cache,
-                                    options.aggregate, want_p99);
-      });
-}
-
-DseResult explore(const arch::PtcTemplate& ptc_template,
-                  const devlib::DeviceLibrary& lib,
-                  const workload::Model& model, const DseSpace& space,
-                  const DseOptions& options,
-                  const std::function<void(const DsePoint&)>& progress) {
-  return explore(std::vector<arch::PtcTemplate>{ptc_template}, lib, model,
-                 space, options, progress);
-}
-
-DseResult explore(const arch::PtcTemplate& ptc_template,
-                  const devlib::DeviceLibrary& lib,
-                  const WorkloadSet& workloads, const DseSpace& space,
-                  const DseOptions& options,
-                  const std::function<void(const DsePoint&)>& progress) {
-  return explore(std::vector<arch::PtcTemplate>{ptc_template}, lib,
-                 workloads, space, options, progress);
-}
-
-DseResult explore(const arch::PtcTemplate& ptc_template,
-                  const devlib::DeviceLibrary& lib,
-                  const workload::Model& model, const DseSpace& space,
-                  const std::function<void(const DsePoint&)>& progress) {
-  return explore(ptc_template, lib, model, space, DseOptions{}, progress);
+  return explore_models(ptc_templates, lib, models, space, options);
 }
 
 }  // namespace simphony::core

@@ -23,12 +23,12 @@
 // shard results into the canonical order with a recomputed frontier.
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <limits>
 #include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "arch/node.h"
@@ -142,8 +142,8 @@ class ExploreStrategy;  // core/strategy.h
 /// Evaluation fidelity of one candidate evaluation.  kFull is the
 /// ordinary evaluation under DseOptions::mapper; kLow substitutes
 /// DseOptions::low_fidelity_mapper (falling back to the full mapper when
-/// none is set), trading mapping quality for speed.  Only the
-/// strategy-driven engine (DseOptions::strategy) ever requests kLow.
+/// none is set), trading mapping quality for speed.  Only adaptive
+/// strategies (DseOptions::strategy) request kLow.
 enum class FidelityLevel { kLow, kFull };
 
 /// Hash over every ArchParams field the engine's duplicate-point memo
@@ -153,42 +153,24 @@ struct ArchParamsHash {
   [[nodiscard]] size_t operator()(const arch::ArchParams& p) const;
 };
 
-/// Progress snapshot handed to DseOptions::on_progress: the generic
-/// Progress counters (monotone `completed` under one mutex, shard-local
-/// `total`) plus the point that just completed.  Consecutive callbacks
-/// always see strictly increasing `completed` values (1, 2, ..., total
-/// under progress_every = 1) even though points complete in a
-/// nondeterministic order across workers.
-struct DseProgress : Progress {
-  const DsePoint* point = nullptr;  // the point that just completed
-};
-
 /// Knobs for the exploration engine.  The inherited CommonOptions block
 /// (core/options.h) carries num_threads (worker threads evaluating
 /// design points), cost_cache (cross-point cost-matrix memoization — see
 /// the field's doc in CommonOptions; only consulted when `mapper` needs
-/// costs), progress_every, and the generic on_progress observer.
+/// costs), and on_progress, which fires once per completed evaluation
+/// with Progress::point set for every full-fidelity point (memo hits
+/// included): the stream --out writes from.
 struct DseOptions : CommonOptions {
   /// Memoize evaluations by ArchParams so duplicate grid points (collapsed
   /// axes, repeated sweep values) are simulated once.
   bool cache = true;
-
-  /// Richer, DSE-typed progress observer; deliberately shadows
-  /// CommonOptions::on_progress (the generic hook serves callers like
-  /// core::Engine that need no DsePoint payload).  Both fire — at the
-  /// same milestones — when both are set.  Milestones follow
-  /// CommonOptions::progress_every: every Nth completion plus exactly
-  /// one final callback at completed == total for a non-empty shard.
-  /// The *point* passed at a milestone is whichever one completed
-  /// there, which is nondeterministic under num_threads > 1.
-  std::function<void(const DseProgress&)> on_progress;
 
   /// How the per-model metrics of a WorkloadSet explore() fold into the
   /// design point's objective metrics (energy, latency, MACs):
   /// sum | max | weighted (WorkloadSet entry weights).  Area is always
   /// the per-model max — one chip must fit the largest per-model memory
   /// sizing — and kMax reports per-model worst-case power / TOPS (see
-  /// BatchReport::Totals).  Ignored by the single-model overloads.
+  /// BatchReport::Totals).  Ignored when the sweep has one model.
   BatchAggregate aggregate = BatchAggregate::kSum;
 
   /// Optional mapping strategy: each design point is costed under the
@@ -223,13 +205,12 @@ struct DseOptions : CommonOptions {
   /// owned; nullptr skips nothing.
   const std::unordered_set<size_t>* skip_indices = nullptr;
 
-  /// Optional exploration strategy (core/strategy.h): when set, explore()
-  /// runs the propose-evaluate-consume loop the strategy drives
-  /// (successive halving, frontier refinement, ...) instead of the
-  /// one-shot evaluate-everything pass.  Strategies are stateful and
+  /// Exploration strategy (core/strategy.h): explore() runs the
+  /// propose-evaluate-consume loop the strategy drives (successive
+  /// halving, frontier refinement, ...).  Strategies are stateful and
   /// single-use — construct a fresh one per explore() call.  Not owned.
-  /// nullptr keeps the legacy one-shot engine, byte-identical to the
-  /// pre-strategy code.
+  /// nullptr runs a OneShotStrategy: every slice point once, at full
+  /// fidelity.
   ExploreStrategy* strategy = nullptr;
 
   /// The cheap evaluator behind FidelityLevel::kLow — typically a
@@ -346,25 +327,15 @@ void mark_pareto_frontier(std::vector<DsePoint>& points,
 [[nodiscard]] DseResult merge(std::vector<DseResult> shards,
                               const std::vector<Metric>& axes);
 
-/// Streams completed DsePoints to an output stream as a canonical shard
-/// document (the format `--out` writes and `--merge` reads):
-///
-///   {"arch": ..., "model": ..., "sampler": ..., "shard": {...},
-///    "total_points": N, "points": [ <point>, ... ]}
-///
-/// The constructor and every add_point() terminate the document and
-/// flush before seeking the put pointer back over the footer — so the
-/// stream holds a complete, parseable document from the moment the
-/// writer exists (a zero-point shard while the first point simulates),
-/// and a sweep killed between writes leaves a recoverable shard file
-/// (see tests/test_dse_stream.cpp).  The stream must support
-/// seekp/tellp (files and stringstreams do).
 /// Byte sink behind DseShardWriter.  The writer's footer trick needs
 /// random access (seek back over the footer before the next point), so
 /// the interface is a seekable text sink rather than a pure appender.
-/// flush() is the durability point; commit() finalizes (atomic rename
-/// for file-backed sinks, no-op otherwise).  Implementations report
-/// failures as util::IoError carrying the file name and byte offset.
+/// flush() is the durability point.  commit() publishes the finished
+/// document — the streamed points reordered by canonical index, the same
+/// length as the streamed bytes — and must leave the streamed bytes
+/// intact until the finished document is durable.  Implementations
+/// report failures as util::IoError carrying the file name and byte
+/// offset.
 class ShardSink {
  public:
   virtual ~ShardSink() = default;
@@ -372,9 +343,23 @@ class ShardSink {
   [[nodiscard]] virtual uint64_t tell() = 0;
   virtual void seek(uint64_t pos) = 0;
   virtual void flush() = 0;
-  virtual void commit() {}
+  virtual void commit(const std::string& document) = 0;
 };
 
+/// Streams completed DsePoints to a sink as a canonical shard document
+/// (the format `--out` writes and `--merge` reads):
+///
+///   {"arch": ..., "model": ..., "sampler": ..., "shard": {...},
+///    "total_points": N, "points": [ <point>, ... ]}
+///
+/// The constructor and every add_point() terminate the document and
+/// flush before seeking the put pointer back over the footer — so the
+/// sink holds a complete, parseable document from the moment the
+/// writer exists (a zero-point shard while the first point simulates),
+/// and a sweep killed between writes leaves a recoverable shard file
+/// (see tests/test_dse_stream.cpp).  Points stream in completion order;
+/// finish() commits them sorted by canonical index, so the finished
+/// document is the same for any thread count.
 class DseShardWriter {
  public:
   struct Metadata {
@@ -414,11 +399,12 @@ class DseShardWriter {
   DseShardWriter(std::ostream& out, Metadata metadata);
 
   /// Durable file-backed writer: streams to `path + ".tmp"` with an
-  /// fsync on every flushed point, and finish() atomically renames the
-  /// temp file onto `path` — a kill can never leave a torn *final*
-  /// document (the temp file holds the always-parseable in-progress
-  /// state for --resume).  Throws util::IoError naming the file when the
-  /// temp file cannot be created.
+  /// fsync on every flushed point; finish() writes the index-sorted
+  /// document beside it, fsyncs it, atomically renames it onto `path`,
+  /// and only then removes the temp file.  A kill at any instant leaves
+  /// either the intact, always-parseable temp file (the --resume
+  /// artifact) or the committed document.  Throws util::IoError naming
+  /// the file when the temp file cannot be created.
   DseShardWriter(const std::string& path, Metadata metadata);
 
   /// Caller-supplied sink (tests, custom transports).
@@ -428,11 +414,9 @@ class DseShardWriter {
   /// travels in its "index" field) and re-terminates the document.
   void add_point(const DsePoint& point);
 
-  /// Flushes the final state and commits the sink (for the file-backed
-  /// writer: fsync + atomic rename onto the target path).  The document
-  /// is already complete — the constructor and every add_point()
-  /// terminate it.  Called implicitly by the destructor; add_point()
-  /// afterwards throws std::logic_error.
+  /// Commits the document with its points sorted by canonical index (see
+  /// ShardSink::commit).  Called implicitly by the destructor;
+  /// add_point() afterwards throws std::logic_error.
   void finish();
 
   ~DseShardWriter();
@@ -441,7 +425,9 @@ class DseShardWriter {
 
  private:
   std::unique_ptr<ShardSink> sink_;
-  bool any_points_ = false;
+  std::string header_;
+  /// (canonical index, serialized point) in completion order.
+  std::vector<std::pair<size_t, std::string>> points_;
   bool finished_ = false;
 };
 
@@ -483,57 +469,33 @@ struct ShardRecovery {
 [[nodiscard]] util::Json to_json(const DseResult& result);
 [[nodiscard]] DseResult dse_result_from_json(const util::Json& j);
 
-/// Runs the exploration of one PTC template on one workload.
-/// `progress` (optional) is invoked as points complete (see
-/// DseOptions::progress_every); the points it receives carry their
-/// canonical index but not the final pareto flag.  Result order is the
-/// canonical point order (grid order, or the sampler's sample order)
-/// regardless of thread count.
-[[nodiscard]] DseResult explore(
-    const arch::PtcTemplate& ptc_template, const devlib::DeviceLibrary& lib,
-    const workload::Model& model, const DseSpace& space,
-    const DseOptions& options,
-    const std::function<void(const DsePoint&)>& progress = nullptr);
-
-/// Back-compat overload with default options.
-[[nodiscard]] DseResult explore(
-    const arch::PtcTemplate& ptc_template, const devlib::DeviceLibrary& lib,
-    const workload::Model& model, const DseSpace& space,
-    const std::function<void(const DsePoint&)>& progress = nullptr);
-
-/// Heterogeneous exploration: every design point materializes one
+/// Explores `space` for one model: every design point materializes one
 /// sub-architecture per template (all at the same ArchParams) sharing one
 /// memory hierarchy, and the workload is routed across them by
 /// DseOptions::mapper (sub-arch 0 carries everything when no mapper is
-/// set).  Throws std::invalid_argument on an empty template list.
+/// set).  Result order is the canonical point order (grid order, or the
+/// sampler's sample order) regardless of thread count.  Throws
+/// std::invalid_argument on an empty template list.
 [[nodiscard]] DseResult explore(
     const std::vector<arch::PtcTemplate>& ptc_templates,
     const devlib::DeviceLibrary& lib, const workload::Model& model,
-    const DseSpace& space, const DseOptions& options,
-    const std::function<void(const DsePoint&)>& progress = nullptr);
+    const DseSpace& space, const DseOptions& options = {});
 
 /// Batched multi-model exploration: every design point constructs the
 /// (possibly heterogeneous) architecture and sizes its device groups
 /// ONCE, then simulates every model of the set on it — the
 /// serve-many-models amortization that separate per-model explore()
-/// calls cannot get.  Per-model metrics land in DsePoint::per_model
-/// (bit-identical to what a single-model explore of that model would
-/// produce at the same point) and the point's objective metrics are the
-/// DseOptions::aggregate fold over them.  The mapping search stays
-/// per-model; DseOptions::cost_cache is shared across models, so
-/// repeated layers across the batch are simulated once per design
-/// point.  Throws std::invalid_argument on an empty set.
+/// calls cannot get.  With two or more models, per-model metrics land in
+/// DsePoint::per_model (bit-identical to what a single-model explore of
+/// that model would produce at the same point) and the point's objective
+/// metrics are the DseOptions::aggregate fold over them; a one-model set
+/// produces exactly the single-model explore() result.  The mapping
+/// search stays per-model; DseOptions::cost_cache is shared across
+/// models, so repeated layers across the batch are simulated once per
+/// design point.  Throws std::invalid_argument on an empty set.
 [[nodiscard]] DseResult explore(
     const std::vector<arch::PtcTemplate>& ptc_templates,
     const devlib::DeviceLibrary& lib, const WorkloadSet& workloads,
-    const DseSpace& space, const DseOptions& options,
-    const std::function<void(const DsePoint&)>& progress = nullptr);
-
-/// Single-template convenience overload of the batched exploration.
-[[nodiscard]] DseResult explore(
-    const arch::PtcTemplate& ptc_template, const devlib::DeviceLibrary& lib,
-    const WorkloadSet& workloads, const DseSpace& space,
-    const DseOptions& options,
-    const std::function<void(const DsePoint&)>& progress = nullptr);
+    const DseSpace& space, const DseOptions& options = {});
 
 }  // namespace simphony::core

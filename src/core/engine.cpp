@@ -757,7 +757,6 @@ ExploreResponse Engine::evaluate_explore(const ExploreRequest& request,
                                 "got '" + request.base.aggregate + "'");
   }
   ResolvedModels resolved = resolve_models(request.base);
-  const bool batch = resolved.workloads.size() > 1;
   const std::unique_ptr<Mapper> mapper = make_mapper(request.base);
   const std::unique_ptr<DseSampler> sampler = make_sampler(request);
   const std::unique_ptr<ExploreStrategy> strategy = make_strategy(request);
@@ -785,7 +784,7 @@ ExploreResponse Engine::evaluate_explore(const ExploreRequest& request,
   options.skip_indices = hooks.skip_indices;
   options.strategy = strategy.get();
   options.low_fidelity_mapper = low_fidelity.get();
-  options.CommonOptions::on_progress = hooks.on_progress;
+  options.on_progress = hooks.on_progress;
   const bool attach = request.base.cost_cache && mapper != nullptr &&
                       mapper->needs_costs();
   if (attach) options.cost_cache = &cache_;
@@ -797,14 +796,12 @@ ExploreResponse Engine::evaluate_explore(const ExploreRequest& request,
   const CostMatrixCache::Stats before = cache_.stats();
   ExploreResponse response;
   response.result =
-      batch ? core::explore(templates, lib_, resolved.workloads, space,
-                            options, hooks.on_point)
-            : core::explore(templates, lib_, resolved.workloads.at(0).model,
-                            space, options, hooks.on_point);
+      core::explore(templates, lib_, resolved.workloads, space, options);
   response.arch_label = arch_label(request.base);
   response.model_label = std::move(resolved.label);
   response.sampler_name = sampler != nullptr ? request.sample : "grid";
-  response.aggregate_label = batch ? to_string(*aggregate) : "";
+  response.aggregate_label =
+      resolved.workloads.size() > 1 ? to_string(*aggregate) : "";
   response.objective =
       objective.canned_objective() ? "" : objective.text();
   response.total_points = total_points;

@@ -219,7 +219,7 @@ struct ResolvedModels {
     const ExploreRequest& request);
 
 /// The exploration strategy a request asks for; nullptr for "one-shot"
-/// (the legacy engine).  Throws on an unknown strategy name, halving
+/// (explore()'s default).  Throws on an unknown strategy name, halving
 /// parameters out of range (eta >= 2, rungs >= 1), a non-positive
 /// refine_rounds, or "frontier" combined with sharding (refined points
 /// fall outside the canonical point list, so shards cannot merge).
@@ -281,14 +281,11 @@ class Engine {
     return load_report_;
   }
 
-  /// Per-call observers and resume support for explore().
+  /// Per-call observer and resume support for explore().
   struct ExploreHooks {
-    /// Fires as each point completes (completion order), after the point
-    /// is final — the CLI streams shard files from this.
-    std::function<void(const DsePoint&)> on_point;
-    /// Generic progress milestones (CommonOptions contract).  Fires
-    /// after on_point for the same completion, so an abort thrown from
-    /// here never loses a streamed point.
+    /// Fires once per completed evaluation (CommonOptions contract);
+    /// Progress::point carries each full-fidelity point in completion
+    /// order — the CLI streams shard files from it.
     std::function<void(const Progress&)> on_progress;
     /// Canonical indices to skip (--resume).  Not owned.
     const std::unordered_set<size_t>* skip_indices = nullptr;

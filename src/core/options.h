@@ -6,7 +6,7 @@
 // the service facade (core/engine.h) would have inherited that drift.
 // CommonOptions is the single definition all of them embed: one
 // num_threads convention (util::ThreadPool::workers_for), one cost-cache
-// attachment point, one progress-milestone contract.
+// attachment point, one progress hook.
 #pragma once
 
 #include <cstddef>
@@ -15,15 +15,21 @@
 namespace simphony::core {
 
 class CostMatrixCache;
+struct DsePoint;
 
-/// Generic progress snapshot: how many work items (design points, batch
-/// models, ...) have completed out of how many.  Subsystems with richer
-/// payloads derive from it (DseProgress adds the completed point) so
-/// generic observers — the engine facade, the server's streaming
-/// progress — can consume every entry point through one type.
+/// Progress snapshot: how many work items (design points, batch models,
+/// ...) have completed out of how many, plus the DSE point that just
+/// completed.  One type serves every entry point, so generic observers
+/// — the engine facade, the server's streaming progress — and the CLI's
+/// --out stream share one hook.
 struct Progress {
   size_t completed = 0;
   size_t total = 0;
+  /// The completed design point, with its canonical index but not yet
+  /// its final pareto flag.  Non-null exactly for full-fidelity DSE
+  /// completions (duplicate-point memo hits included); null for
+  /// low-fidelity strategy probes and for simulate_batch models.
+  const DsePoint* point = nullptr;
 };
 
 /// Shared knobs embedded by SimulationOptions, BatchOptions and
@@ -44,17 +50,12 @@ struct CommonOptions {
   /// attachment when non-null.
   CostMatrixCache* cost_cache = nullptr;
 
-  /// Invoke the progress observers every N completed work items (1 =
-  /// every item).  Observers are serialized behind a mutex, the completed
-  /// count is monotone, and — whatever N is — the final item of a
-  /// non-empty run always fires exactly one callback at
-  /// completed == total.
-  int progress_every = 1;
-
-  /// Generic progress observer (see Progress above).  Subsystems with a
-  /// richer typed observer (DseOptions::on_progress) fire BOTH when both
-  /// are set; this one exists so generic callers — core::Engine, the
-  /// simphonyd progress stream — need not know the subsystem's payload.
+  /// Progress observer (see Progress above), invoked once per completed
+  /// work item.  Calls are serialized behind a mutex and `completed` is
+  /// strictly increasing, ending at `total` for a non-empty run, even
+  /// though items complete in a nondeterministic order across workers
+  /// (an adaptive DSE strategy's `total` grows batch by batch).
+  /// Whatever it throws aborts the run and reaches the caller.
   std::function<void(const Progress&)> on_progress;
 };
 

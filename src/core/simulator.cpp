@@ -489,21 +489,14 @@ BatchReport Simulator::simulate_batch(const WorkloadSet& workloads,
   util::ThreadPool pool(
       util::ThreadPool::workers_for(options.num_threads, workloads.size()));
 
-  // Progress milestones follow the CommonOptions contract: one mutex
-  // keeps the completed count monotone, and the final model always fires
-  // exactly one callback at completed == size() for any progress_every.
-  const size_t progress_every =
-      static_cast<size_t>(std::max(1, options.progress_every));
+  // One callback per completed model (CommonOptions contract): the mutex
+  // keeps the completed count strictly increasing, ending at size().
   std::mutex progress_mutex;
   size_t completed = 0;
   auto report_progress = [&]() {
     if (!options.on_progress) return;
     std::lock_guard<std::mutex> lock(progress_mutex);
-    ++completed;
-    if (completed % progress_every != 0 && completed != workloads.size()) {
-      return;
-    }
-    options.on_progress(Progress{completed, workloads.size()});
+    options.on_progress(Progress{++completed, workloads.size()});
   };
 
   pool.parallel_for(workloads.size(), [&](size_t i) {

@@ -47,9 +47,9 @@ struct SimulationOptions : CommonOptions {
 /// batch, prefer serial mappers — a mapper running its own pool inside
 /// every batch worker oversubscribes the machine).  cost_cache: when
 /// non-null, overrides the Simulator's SimulationOptions attachment for
-/// this batch.  on_progress fires per completed model (monotone count
-/// under one mutex, final callback at completed == size() — see
-/// CommonOptions::progress_every).
+/// this batch.  on_progress fires once per completed model (strictly
+/// increasing count under one mutex, ending at size(); Progress::point
+/// stays null).
 struct BatchOptions : CommonOptions {};
 
 /// Totals-only result of the simulate_gemms flow: exactly the figures the

@@ -107,9 +107,8 @@ class ExploreStrategy {
 };
 
 /// Evaluates every slice point at full fidelity in one batch — the
-/// strategy spelling of the legacy engine, bit-identical to explore()
-/// with DseOptions::strategy == nullptr (tests/test_strategy.cpp pins
-/// this across samplers, mappers, and thread counts).
+/// engine's default schedule, which explore() runs when
+/// DseOptions::strategy == nullptr.
 class OneShotStrategy final : public ExploreStrategy {
  public:
   [[nodiscard]] std::string name() const override { return "one-shot"; }

@@ -338,7 +338,7 @@ TEST(BatchedExplore, AggregateMetricsFoldPerModelRows) {
     DseOptions options;
     options.aggregate = aggregate;
     const DseResult result =
-        explore(arch::tempo_template(), g_lib, set, space, options);
+        explore({arch::tempo_template()}, g_lib, set, space, options);
     for (const DsePoint& point : result.points) {
       std::vector<double> energies;
       std::vector<double> latencies;
@@ -366,12 +366,12 @@ TEST(BatchedExplore, ParallelIsBitIdenticalToSerialIncludingPerModelRows) {
   DseOptions serial;
   serial.num_threads = 1;
   const DseResult base =
-      explore(arch::tempo_template(), g_lib, set, space, serial);
+      explore({arch::tempo_template()}, g_lib, set, space, serial);
   for (const int threads : {0, 4}) {
     DseOptions options;
     options.num_threads = threads;
     const DseResult result =
-        explore(arch::tempo_template(), g_lib, set, space, options);
+        explore({arch::tempo_template()}, g_lib, set, space, options);
     ASSERT_EQ(result.points.size(), base.points.size());
     for (size_t p = 0; p < base.points.size(); ++p) {
       EXPECT_EQ(result.points[p].energy_pJ, base.points[p].energy_pJ);
@@ -395,7 +395,7 @@ TEST(BatchedExplore, PerModelRowsSurviveJsonRoundTrip) {
   DseOptions options;
   options.aggregate = BatchAggregate::kWeighted;
   const DseResult result =
-      explore(arch::tempo_template(), g_lib, set, space, options);
+      explore({arch::tempo_template()}, g_lib, set, space, options);
 
   const util::Json doc = to_json(result);
   const DseResult parsed = dse_result_from_json(doc);
@@ -422,7 +422,7 @@ TEST(BatchedExplore, PerModelRowsSurviveJsonRoundTrip) {
 TEST(BatchedExplore, EmptySetIsRejected) {
   DseSpace space;
   space.wavelengths = {1};
-  EXPECT_THROW((void)explore(arch::tempo_template(), g_lib, WorkloadSet{},
+  EXPECT_THROW((void)explore({arch::tempo_template()}, g_lib, WorkloadSet{},
                              space, DseOptions{}),
                std::invalid_argument);
 }

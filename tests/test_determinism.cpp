@@ -133,14 +133,14 @@ TEST(Determinism, BatchedExploreAcrossThreadCounts) {
   serial.num_threads = 1;
   serial.mapper = &mapper;
   serial.cost_cache = &cache;
-  const DseResult base = explore(arch::scatter_template(), g_lib, set, space,
+  const DseResult base = explore({arch::scatter_template()}, g_lib, set, space,
                                  serial);
   for (const int threads : kThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     DseOptions options = serial;
     options.num_threads = threads;
     expect_results_identical(
-        explore(arch::scatter_template(), g_lib, set, space, options), base);
+        explore({arch::scatter_template()}, g_lib, set, space, options), base);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <numeric>
 #include <unordered_set>
 
 #include "arch/prebuilt.h"
@@ -20,7 +21,7 @@ DseResult small_sweep() {
   space.tiles = {1, 2};
   space.wavelengths = {2, 4};
   const workload::Model model = workload::mlp_mnist();
-  return explore(arch::tempo_template(), g_lib, model, space);
+  return explore({arch::tempo_template()}, g_lib, model, space);
 }
 
 TEST(Dse, EnumeratesFullGrid) {
@@ -36,7 +37,7 @@ TEST(Dse, EnumeratesFullGrid) {
 TEST(Dse, EmptyAxesUseBaseParams) {
   DseSpace space;
   space.base.wavelengths = 3;
-  const DseResult r = explore(arch::tempo_template(), g_lib,
+  const DseResult r = explore({arch::tempo_template()}, g_lib,
                               workload::mlp_mnist(), space);
   ASSERT_EQ(r.points.size(), 1u);
   EXPECT_EQ(r.points.front().params.wavelengths, 3);
@@ -67,19 +68,10 @@ TEST(Dse, BestEdapIsMinimal) {
   EXPECT_THROW((void)DseResult{}.best_edap(), std::runtime_error);
 }
 
-TEST(Dse, ProgressCallbackFiresPerPoint) {
-  DseSpace space;
-  space.wavelengths = {1, 2, 4};
-  int calls = 0;
-  (void)explore(arch::tempo_template(), g_lib, workload::mlp_mnist(), space,
-                [&](const DsePoint&) { ++calls; });
-  EXPECT_EQ(calls, 3);
-}
-
 TEST(Dse, BitSweepChangesEnergy) {
   DseSpace space;
   space.input_bits = {2, 8};
-  const DseResult r = explore(arch::tempo_template(), g_lib,
+  const DseResult r = explore({arch::tempo_template()}, g_lib,
                               workload::mlp_mnist(), space);
   ASSERT_EQ(r.points.size(), 2u);
   EXPECT_LT(r.points[0].energy_pJ, r.points[1].energy_pJ);
@@ -88,7 +80,7 @@ TEST(Dse, BitSweepChangesEnergy) {
 TEST(Dse, MoreParallelismFasterButBigger) {
   DseSpace space;
   space.core_sizes = {4, 8};
-  const DseResult r = explore(arch::tempo_template(), g_lib,
+  const DseResult r = explore({arch::tempo_template()}, g_lib,
                               workload::mlp_mnist(), space);
   ASSERT_EQ(r.points.size(), 2u);
   EXPECT_GT(r.points[0].latency_ns, r.points[1].latency_ns);
@@ -103,7 +95,7 @@ TEST(Dse, EnumerateMatchesResultOrder) {
   const std::vector<arch::ArchParams> grid = space.enumerate();
   ASSERT_EQ(grid.size(), 8u);
   const DseResult r =
-      explore(arch::tempo_template(), g_lib, workload::mlp_mnist(), space);
+      explore({arch::tempo_template()}, g_lib, workload::mlp_mnist(), space);
   ASSERT_EQ(r.points.size(), grid.size());
   for (size_t i = 0; i < grid.size(); ++i) {
     EXPECT_EQ(r.points[i].params, grid[i]);
@@ -122,14 +114,14 @@ TEST(Dse, ParallelIsBitIdenticalToSerial) {
   DseOptions serial;
   serial.num_threads = 1;
   const DseResult expected =
-      explore(arch::tempo_template(), g_lib, model, space, serial);
+      explore({arch::tempo_template()}, g_lib, model, space, serial);
   ASSERT_EQ(expected.points.size(), 8u);
 
   for (int threads : {0, 2, 4, 8}) {
     DseOptions options;
     options.num_threads = threads;
     const DseResult r =
-        explore(arch::tempo_template(), g_lib, model, space, options);
+        explore({arch::tempo_template()}, g_lib, model, space, options);
     ASSERT_EQ(r.points.size(), expected.points.size()) << threads;
     for (size_t i = 0; i < r.points.size(); ++i) {
       EXPECT_EQ(r.points[i].params, expected.points[i].params);
@@ -152,7 +144,7 @@ TEST(Dse, CacheReturnsIdenticalPointsForDuplicateParams) {
   DseOptions cached;
   cached.num_threads = 1;
   const DseResult r =
-      explore(arch::tempo_template(), g_lib, model, space, cached);
+      explore({arch::tempo_template()}, g_lib, model, space, cached);
   ASSERT_EQ(r.points.size(), 6u);
   for (const auto& p : r.points) {
     EXPECT_EQ(p.params, r.points.front().params);
@@ -165,7 +157,7 @@ TEST(Dse, CacheReturnsIdenticalPointsForDuplicateParams) {
   DseOptions uncached = cached;
   uncached.cache = false;
   const DseResult full =
-      explore(arch::tempo_template(), g_lib, model, space, uncached);
+      explore({arch::tempo_template()}, g_lib, model, space, uncached);
   ASSERT_EQ(full.points.size(), r.points.size());
   for (size_t i = 0; i < r.points.size(); ++i) {
     EXPECT_EQ(r.points[i].energy_pJ, full.points[i].energy_pJ);
@@ -174,140 +166,55 @@ TEST(Dse, CacheReturnsIdenticalPointsForDuplicateParams) {
   }
 }
 
-TEST(Dse, ProgressCountsEveryGridPointIncludingCacheHits) {
+TEST(Dse, OneProgressCallbackPerSlicePointIncludingMemoHits) {
+  // Index 3 repeats index 2's parameters (a memo hit), and a resumed
+  // sweep's skipped indices count as completed up front.
   DseSpace space;
-  space.tiles = {2, 2};
-  space.wavelengths = {3, 3};
-  for (int threads : {1, 4}) {
-    DseOptions options;
-    options.num_threads = threads;
-    int calls = 0;
-    (void)explore(arch::tempo_template(), g_lib, workload::mlp_mnist(),
-                  space, options, [&](const DsePoint&) { ++calls; });
-    EXPECT_EQ(calls, 4) << threads;
-  }
-}
-
-TEST(Dse, ProgressEveryThrottlesCallbacks) {
-  DseSpace space;
-  space.wavelengths = {1, 2, 3, 4, 5};
-  DseOptions options;
-  options.num_threads = 1;
-  options.progress_every = 2;
-  int calls = 0;
-  (void)explore(arch::tempo_template(), g_lib, workload::mlp_mnist(), space,
-                options, [&](const DsePoint&) { ++calls; });
-  // After points 2 and 4, plus the guaranteed final callback at 5.
-  EXPECT_EQ(calls, 3);
-}
-
-TEST(Dse, ProgressCountIsMonotoneWithExactlyOneFinalCallback) {
-  DseSpace space;
-  space.wavelengths = {1, 2, 3, 4, 5, 6, 7};
-  for (int threads : {0, 1, 2, 4}) {
-    for (int every : {1, 2, 3, 7, 100}) {
+  space.wavelengths = {1, 2, 3, 3, 4, 5, 6};
+  const std::vector<arch::ArchParams> grid = space.enumerate();
+  const std::unordered_set<size_t> skip = {0, 5};
+  for (const std::unordered_set<size_t>* skip_indices :
+       {static_cast<const std::unordered_set<size_t>*>(nullptr), &skip}) {
+    for (int threads : {0, 1, 2, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (skip_indices != nullptr ? " resumed" : ""));
       DseOptions options;
       options.num_threads = threads;
-      options.progress_every = every;
+      options.skip_indices = skip_indices;
       std::vector<size_t> counts;
+      std::vector<size_t> indices;
       std::mutex mutex;
-      options.on_progress = [&](const DseProgress& p) {
+      options.on_progress = [&](const Progress& p) {
         std::lock_guard<std::mutex> lock(mutex);
         EXPECT_EQ(p.total, 7u);
         ASSERT_NE(p.point, nullptr);
+        ASSERT_LT(p.point->index, grid.size());
+        EXPECT_EQ(p.point->params, grid[p.point->index]);
         counts.push_back(p.completed);
+        indices.push_back(p.point->index);
       };
-      (void)explore(arch::tempo_template(), g_lib, workload::mlp_mnist(),
-                    space, options);
-      // Counts are strictly increasing (monotone even under completion
-      // reordering across workers) ...
-      for (size_t i = 1; i < counts.size(); ++i) {
-        EXPECT_LT(counts[i - 1], counts[i])
-            << "threads=" << threads << " every=" << every;
-      }
-      // ... and the run ends with exactly one callback at n_total,
-      // whatever the milestone stride is.
-      ASSERT_FALSE(counts.empty());
-      EXPECT_EQ(counts.back(), 7u)
-          << "threads=" << threads << " every=" << every;
-      EXPECT_EQ(std::count(counts.begin(), counts.end(), size_t{7}), 1)
-          << "threads=" << threads << " every=" << every;
-      // Milestone schedule: every Nth point plus the final one.
-      const size_t expected = 7 / static_cast<size_t>(every) + (7 % every
-                              != 0 ? 1 : 0);
-      EXPECT_EQ(counts.size(), expected)
-          << "threads=" << threads << " every=" << every;
-    }
-  }
-}
-
-TEST(Dse, SkippedIndicesCountAsCompletedUpFront) {
-  // A resumed sweep (skip_indices) reports its true position: the three
-  // recovered points count as completed before the first evaluation, so
-  // progress runs skipped+1..total instead of restarting from 1 — and
-  // the guaranteed final callback still lands exactly once at total.
-  DseSpace space;
-  space.wavelengths = {1, 2, 3, 4, 5, 6, 7};
-  const std::unordered_set<size_t> skip = {0, 3, 6};
-  for (int threads : {1, 4}) {
-    for (int every : {1, 7}) {
-      DseOptions options;
-      options.num_threads = threads;
-      options.progress_every = every;
-      options.skip_indices = &skip;
-      std::vector<size_t> counts;
-      std::mutex mutex;
-      options.on_progress = [&](const DseProgress& p) {
-        std::lock_guard<std::mutex> lock(mutex);
-        EXPECT_EQ(p.total, 7u);
-        counts.push_back(p.completed);
-      };
-      const DseResult result = explore(arch::tempo_template(), g_lib,
+      const DseResult result = explore({arch::tempo_template()}, g_lib,
                                        workload::mlp_mnist(), space, options);
-      EXPECT_EQ(result.points.size(), 4u);
-      ASSERT_FALSE(counts.empty())
-          << "threads=" << threads << " every=" << every;
-      for (size_t i = 1; i < counts.size(); ++i) {
-        EXPECT_LT(counts[i - 1], counts[i])
-            << "threads=" << threads << " every=" << every;
+
+      const size_t skipped = skip_indices != nullptr ? skip.size() : 0;
+      EXPECT_EQ(result.points.size(), 7 - skipped);
+      // One callback per evaluated slice point, the memo hit included,
+      // with `completed` strictly increasing from the skipped count and
+      // ending at total.
+      std::vector<size_t> want_counts(7 - skipped);
+      std::iota(want_counts.begin(), want_counts.end(), skipped + 1);
+      EXPECT_EQ(counts, want_counts);
+      // Every point arrives exactly once, under its canonical index.
+      std::sort(indices.begin(), indices.end());
+      std::vector<size_t> want_indices;
+      for (size_t g = 0; g < grid.size(); ++g) {
+        if (skip_indices == nullptr || skip.count(g) == 0) {
+          want_indices.push_back(g);
+        }
       }
-      // Every reported count already includes the 3 skipped points ...
-      EXPECT_GT(counts.front(), 3u)
-          << "threads=" << threads << " every=" << every;
-      // ... and the run still ends at total, exactly once.
-      EXPECT_EQ(counts.back(), 7u)
-          << "threads=" << threads << " every=" << every;
-      EXPECT_EQ(std::count(counts.begin(), counts.end(), size_t{7}), 1)
-          << "threads=" << threads << " every=" << every;
-      if (every == 1) {
-        // One callback per fresh evaluation: 4, 5, 6, 7.
-        EXPECT_EQ(counts, (std::vector<size_t>{4, 5, 6, 7}))
-            << "threads=" << threads;
-      }
+      EXPECT_EQ(indices, want_indices);
     }
   }
-}
-
-TEST(Dse, BothProgressCallbacksFireAtTheSameMilestones) {
-  DseSpace space;
-  space.wavelengths = {1, 2, 3, 4, 5};
-  DseOptions options;
-  options.num_threads = 2;
-  options.progress_every = 2;
-  int positional = 0;
-  int structured = 0;
-  std::mutex mutex;
-  options.on_progress = [&](const DseProgress&) {
-    std::lock_guard<std::mutex> lock(mutex);
-    ++structured;
-  };
-  (void)explore(arch::tempo_template(), g_lib, workload::mlp_mnist(), space,
-                options, [&](const DsePoint&) {
-                  std::lock_guard<std::mutex> lock(mutex);
-                  ++positional;
-                });
-  EXPECT_EQ(positional, 3);  // points 2 and 4, plus the final at 5
-  EXPECT_EQ(structured, 3);
 }
 
 TEST(Dse, NegativeThreadCountIsRejected) {
@@ -318,7 +225,7 @@ TEST(Dse, NegativeThreadCountIsRejected) {
   // The engine-wide convention (util::ThreadPool::workers_for): 0 = one
   // worker per hardware thread, 1 = serial, negative is an error rather
   // than a silent alias for "auto".
-  EXPECT_THROW((void)explore(arch::tempo_template(), g_lib,
+  EXPECT_THROW((void)explore({arch::tempo_template()}, g_lib,
                              workload::mlp_mnist(), space, options),
                std::invalid_argument);
 }
@@ -328,7 +235,7 @@ TEST(Dse, UnsweptSizeAxisKeepsNonSquareBaseCore) {
   space.base.core_height = 2;
   space.base.core_width = 4;
   space.wavelengths = {2, 4};
-  const DseResult r = explore(arch::tempo_template(), g_lib,
+  const DseResult r = explore({arch::tempo_template()}, g_lib,
                               workload::mlp_mnist(), space);
   ASSERT_EQ(r.points.size(), 2u);
   for (const auto& p : r.points) {
@@ -341,7 +248,7 @@ TEST(Dse, OutputBitsAxisReachesTheSimulation) {
   const workload::Model model = workload::mlp_mnist();
   DseSpace space;
   space.output_bits = {2, 8};
-  const DseResult r = explore(arch::tempo_template(), g_lib, model, space);
+  const DseResult r = explore({arch::tempo_template()}, g_lib, model, space);
   ASSERT_EQ(r.points.size(), 2u);
   EXPECT_EQ(r.points[0].params.output_bits, 2);
   EXPECT_EQ(r.points[1].params.output_bits, 8);
@@ -358,12 +265,12 @@ TEST(Dse, EmptyOutputAxisKeepsPerLayerOutputBits) {
 
   DseSpace unswept;  // base.output_bits = 8 is only a label here
   const DseResult per_layer =
-      explore(arch::tempo_template(), g_lib, model, unswept);
+      explore({arch::tempo_template()}, g_lib, model, unswept);
 
   DseSpace forced;
   forced.output_bits = {8};
   const DseResult overridden =
-      explore(arch::tempo_template(), g_lib, model, forced);
+      explore({arch::tempo_template()}, g_lib, model, forced);
 
   ASSERT_EQ(per_layer.points.size(), 1u);
   ASSERT_EQ(overridden.points.size(), 1u);
@@ -372,7 +279,7 @@ TEST(Dse, EmptyOutputAxisKeepsPerLayerOutputBits) {
   DseSpace matching;
   matching.output_bits = {2};
   const DseResult same =
-      explore(arch::tempo_template(), g_lib, model, matching);
+      explore({arch::tempo_template()}, g_lib, model, matching);
   EXPECT_EQ(per_layer.points[0].energy_pJ, same.points[0].energy_pJ);
 }
 
@@ -387,12 +294,12 @@ TEST(Dse, UnsweptBitsAxisKeepsPerLayerOperandBits) {
   }
   DseSpace unswept;
   const DseResult kept =
-      explore(arch::tempo_template(), g_lib, model, unswept);
+      explore({arch::tempo_template()}, g_lib, model, unswept);
 
   DseSpace flattened;
   flattened.input_bits = {4};  // forces input = weight = 4
   const DseResult forced =
-      explore(arch::tempo_template(), g_lib, model, flattened);
+      explore({arch::tempo_template()}, g_lib, model, flattened);
 
   ASSERT_EQ(kept.points.size(), 1u);
   ASSERT_EQ(forced.points.size(), 1u);
@@ -405,12 +312,12 @@ TEST(Dse, ThrowingProgressCallbackAbortsSerialSweep) {
   DseOptions options;
   options.num_threads = 1;
   int calls = 0;
-  EXPECT_THROW((void)explore(arch::tempo_template(), g_lib,
-                             workload::mlp_mnist(), space, options,
-                             [&](const DsePoint&) {
-                               ++calls;
-                               throw std::runtime_error("user abort");
-                             }),
+  options.on_progress = [&](const Progress&) {
+    ++calls;
+    throw std::runtime_error("user abort");
+  };
+  EXPECT_THROW((void)explore({arch::tempo_template()}, g_lib,
+                             workload::mlp_mnist(), space, options),
                std::runtime_error);
   EXPECT_EQ(calls, 1);  // remaining grid points never evaluate
 }
@@ -482,7 +389,7 @@ TEST(Dse, NonSquareSweepReachesTheSimulation) {
   // change latency/area, and the params labels must track H != W.
   DseSpace space;
   space.core_widths = {2, 8};
-  const DseResult r = explore(arch::tempo_template(), g_lib,
+  const DseResult r = explore({arch::tempo_template()}, g_lib,
                               workload::mlp_mnist(), space);
   ASSERT_EQ(r.points.size(), 2u);
   EXPECT_EQ(r.points[0].params.core_height, 4);  // base H survives
@@ -498,7 +405,7 @@ TEST(Dse, InvalidPointFailsTheWholeSweep) {
   for (int threads : {1, 4}) {
     DseOptions options;
     options.num_threads = threads;
-    EXPECT_THROW((void)explore(arch::tempo_template(), g_lib,
+    EXPECT_THROW((void)explore({arch::tempo_template()}, g_lib,
                                workload::mlp_mnist(), space, options),
                  std::invalid_argument)
         << threads;
@@ -512,11 +419,10 @@ TEST(Dse, SerialSweepStopsEvaluatingAfterAFailure) {
   DseOptions options;
   options.num_threads = 1;
   int evaluated = 0;
-  EXPECT_THROW(
-      (void)explore(arch::tempo_template(), g_lib, workload::mlp_mnist(),
-                    space, options,
-                    [&](const DsePoint&) { ++evaluated; }),
-      std::invalid_argument);
+  options.on_progress = [&](const Progress&) { ++evaluated; };
+  EXPECT_THROW((void)explore({arch::tempo_template()}, g_lib,
+                             workload::mlp_mnist(), space, options),
+               std::invalid_argument);
   // Grid order is tiles=1 x L=1..5 then tiles=-1 x L=1: the five valid
   // points complete, the sixth throws, and the remaining four never run.
   EXPECT_EQ(evaluated, 5);

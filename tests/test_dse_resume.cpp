@@ -60,11 +60,11 @@ StreamedShard run_streamed_shard() {
   out.snapshots.push_back(stream.str());
   DseOptions options;
   options.num_threads = 1;  // completion order == canonical order
-  out.result = explore(arch::tempo_template(), g_lib, model, space, options,
-                       [&](const DsePoint& point) {
-                         writer.add_point(point);
-                         out.snapshots.push_back(stream.str());
-                       });
+  options.on_progress = [&](const Progress& progress) {
+    writer.add_point(*progress.point);
+    out.snapshots.push_back(stream.str());
+  };
+  out.result = explore({arch::tempo_template()}, g_lib, model, space, options);
   writer.finish();
   out.final_text = stream.str();
   return out;
@@ -181,7 +181,7 @@ TEST(DseResume, SkippedExploreMergesBackBitIdentical) {
   DseOptions base;
   base.num_threads = 1;
   const DseResult full =
-      explore(arch::tempo_template(), g_lib, model, space, base);
+      explore({arch::tempo_template()}, g_lib, model, space, base);
   ASSERT_EQ(full.points.size(), 4u);
 
   // "Recovered" points 0 and 2 of an interrupted run.
@@ -194,7 +194,7 @@ TEST(DseResume, SkippedExploreMergesBackBitIdentical) {
     options.num_threads = threads;
     options.skip_indices = &skip;
     const DseResult rest =
-        explore(arch::tempo_template(), g_lib, model, space, options);
+        explore({arch::tempo_template()}, g_lib, model, space, options);
     ASSERT_EQ(rest.points.size(), 2u) << threads;
     EXPECT_EQ(rest.points[0].index, 1u) << threads;
     EXPECT_EQ(rest.points[1].index, 3u) << threads;
@@ -211,7 +211,7 @@ TEST(DseResume, SkippingEverythingYieldsAnEmptyRun) {
   DseOptions options;
   options.num_threads = 1;
   options.skip_indices = &all;
-  const DseResult none = explore(arch::tempo_template(), g_lib,
+  const DseResult none = explore({arch::tempo_template()}, g_lib,
                                  workload::mlp_mnist(), space, options);
   EXPECT_TRUE(none.points.empty());
 }

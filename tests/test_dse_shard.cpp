@@ -51,7 +51,7 @@ TEST(DseShard, SlicesAreDisjointAndCovering) {
       DseOptions options;
       options.shard = {index, count};
       const DseResult r =
-          explore(arch::tempo_template(), g_lib, model, space, options);
+          explore({arch::tempo_template()}, g_lib, model, space, options);
       for (const auto& p : r.points) {
         EXPECT_TRUE(seen.insert(p.index).second)
             << "index " << p.index << " in two shards";
@@ -69,7 +69,7 @@ TEST(DseShard, MergedShardsEqualUnshardedRunForGrid) {
   const DseSpace space = small_space();
   const workload::Model model = workload::mlp_mnist();
   const DseResult unsharded =
-      explore(arch::tempo_template(), g_lib, model, space);
+      explore({arch::tempo_template()}, g_lib, model, space);
   ASSERT_EQ(unsharded.points.size(), 8u);
 
   for (int count : {2, 3}) {
@@ -78,7 +78,7 @@ TEST(DseShard, MergedShardsEqualUnshardedRunForGrid) {
       DseOptions options;
       options.shard = {index, count};
       shards.push_back(
-          explore(arch::tempo_template(), g_lib, model, space, options));
+          explore({arch::tempo_template()}, g_lib, model, space, options));
     }
     // Merge in scrambled order: canonical order comes from the indices,
     // not from the order the shard files arrive in.
@@ -96,7 +96,7 @@ TEST(DseShard, MergedShardsEqualUnshardedRunForSeededRandomSampling) {
 
   DseOptions unsharded_options;
   unsharded_options.sampler = &sampler;
-  const DseResult unsharded = explore(arch::tempo_template(), g_lib, model,
+  const DseResult unsharded = explore({arch::tempo_template()}, g_lib, model,
                                       space, unsharded_options);
   ASSERT_EQ(unsharded.points.size(), 10u);
 
@@ -106,7 +106,7 @@ TEST(DseShard, MergedShardsEqualUnshardedRunForSeededRandomSampling) {
     options.sampler = &sampler;
     options.shard = {index, 2};
     shards.push_back(
-        explore(arch::tempo_template(), g_lib, model, space, options));
+        explore({arch::tempo_template()}, g_lib, model, space, options));
   }
   const DseResult merged = merge(std::move(shards));
   expect_bit_identical(merged, unsharded);
@@ -179,7 +179,7 @@ TEST(DseShard, InvalidShardSpecThrows) {
   for (DseShard shard : {DseShard{0, 0}, DseShard{-1, 2}, DseShard{2, 2}}) {
     DseOptions options;
     options.shard = shard;
-    EXPECT_THROW((void)explore(arch::tempo_template(), g_lib, model, space,
+    EXPECT_THROW((void)explore({arch::tempo_template()}, g_lib, model, space,
                                options),
                  std::invalid_argument)
         << shard.index << "/" << shard.count;
@@ -282,7 +282,7 @@ TEST(DseSampler, ExploreUsesTheSamplerPointList) {
   const std::vector<arch::ArchParams> expected = sampler.sample(space);
   DseOptions options;
   options.sampler = &sampler;
-  const DseResult r = explore(arch::tempo_template(), g_lib,
+  const DseResult r = explore({arch::tempo_template()}, g_lib,
                               workload::mlp_mnist(), space, options);
   ASSERT_EQ(r.points.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -412,14 +412,14 @@ TEST(DseShard, JsonShardFilesMergeToTheUnshardedResult) {
   const DseSpace space = small_space();
   const workload::Model model = workload::mlp_mnist();
   const DseResult unsharded =
-      explore(arch::tempo_template(), g_lib, model, space);
+      explore({arch::tempo_template()}, g_lib, model, space);
 
   std::vector<DseResult> parsed_shards;
   for (int index = 0; index < 2; ++index) {
     DseOptions options;
     options.shard = {index, 2};
     const DseResult shard =
-        explore(arch::tempo_template(), g_lib, model, space, options);
+        explore({arch::tempo_template()}, g_lib, model, space, options);
     const std::string text = to_json(shard).dump(2);  // "to disk"
     parsed_shards.push_back(
         dse_result_from_json(util::Json::parse(text)));  // "from disk"

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +22,15 @@ namespace simphony::core {
 namespace {
 
 devlib::DeviceLibrary g_lib = devlib::DeviceLibrary::standard();
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+bool file_exists(const std::string& path) {
+  return std::ifstream(path).good();
+}
 
 DseSpace small_space() {
   DseSpace space;
@@ -59,11 +71,11 @@ StreamedShard run_streamed_shard(const DseShard& shard) {
   DseOptions options;
   options.num_threads = 1;  // completion order == canonical order
   options.shard = shard;
-  out.result = explore(arch::tempo_template(), g_lib, model, space, options,
-                       [&](const DsePoint& point) {
-                         writer.add_point(point);
-                         out.snapshots.push_back(stream.str());
-                       });
+  options.on_progress = [&](const Progress& progress) {
+    writer.add_point(*progress.point);
+    out.snapshots.push_back(stream.str());
+  };
+  out.result = explore({arch::tempo_template()}, g_lib, model, space, options);
   writer.finish();
   out.final_text = stream.str();
   return out;
@@ -122,7 +134,7 @@ TEST(DseStream, InterruptedShardFileStillParsesAndMergesCorrectly) {
   DseOptions options;
   options.num_threads = 1;
   const DseResult unsharded =
-      explore(arch::tempo_template(), g_lib, model, space, options);
+      explore({arch::tempo_template()}, g_lib, model, space, options);
   ASSERT_EQ(unsharded.points.size(), 4u);
 
   const StreamedShard shard0 = run_streamed_shard(DseShard{0, 2});
@@ -182,6 +194,42 @@ TEST(DseStream, TornFinalRecordIsAParseErrorNeverACrash) {
     }
   }
   EXPECT_GT(parse_failures, 0u);
+}
+
+// Points stream in completion order, but finish() commits them sorted by
+// canonical index; the file-backed writer keeps its .tmp intact (in
+// completion order, for --resume) until the sorted file is in place.
+TEST(DseStream, FinishCommitsPointsInCanonicalOrder) {
+  const std::string path = ::testing::TempDir() + "dse_stream_sorted.json";
+  std::remove(path.c_str());
+  const auto indices_of = [](const std::string& text) {
+    std::vector<size_t> indices;
+    for (const DsePoint& p :
+         dse_result_from_json(util::Json::parse(text)).points) {
+      indices.push_back(p.index);
+    }
+    return indices;
+  };
+  std::stringstream stream;
+  {
+    DseShardWriter to_stream(stream, metadata_for(DseShard{0, 1}, 3));
+    DseShardWriter to_file(path, metadata_for(DseShard{0, 1}, 3));
+    for (size_t index : {2, 0, 1}) {
+      DsePoint point;
+      point.index = index;
+      point.params.tiles = static_cast<int>(index) + 1;
+      to_stream.add_point(point);
+      to_file.add_point(point);
+    }
+    EXPECT_EQ(indices_of(read_file(path + ".tmp")),
+              (std::vector<size_t>{2, 0, 1}));
+    EXPECT_FALSE(file_exists(path));
+  }  // the destructors finish()
+  EXPECT_EQ(indices_of(stream.str()), (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(read_file(path), stream.str());
+  EXPECT_FALSE(file_exists(path + ".tmp"));
+  EXPECT_FALSE(file_exists(path + ".sorted.tmp"));
+  std::remove(path.c_str());
 }
 
 TEST(DseStream, AddPointAfterFinishThrows) {

@@ -151,18 +151,22 @@ TEST(MetricsOracle, HalvingByteIdenticalAcrossThreads) {
 
 TEST(MetricsOracle, ShardFilesAndMergeByteIdentical) {
   const std::string dir = ::testing::TempDir();
-  for (int shard : {0, 1}) {
-    const std::string out =
-        dir + "/metrics_oracle_shard" + std::to_string(shard) + ".json";
-    const CliResult result = run_cli(
-        kSweep + " --mapping greedy --shard " + std::to_string(shard) +
-        "/2 --out " + out + " --json");
-    ASSERT_EQ(result.exit_code, 0) << shard;
-    expect_bytes_equal(
-        read_file(out),
-        golden("shard" + std::to_string(shard) + "_greedy_edp.json"),
-        "shard" + std::to_string(shard));
-    std::remove(out.c_str());
+  // The committed --out file lists points by canonical index, so it
+  // matches the golden for the default thread count and for any other.
+  for (const std::string threads : {"", " --threads 1", " --threads 4"}) {
+    for (int shard : {0, 1}) {
+      const std::string out =
+          dir + "/metrics_oracle_shard" + std::to_string(shard) + ".json";
+      const CliResult result = run_cli(
+          kSweep + " --mapping greedy --shard " + std::to_string(shard) +
+          "/2 --out " + out + threads + " --json");
+      ASSERT_EQ(result.exit_code, 0) << shard << threads;
+      expect_bytes_equal(
+          read_file(out),
+          golden("shard" + std::to_string(shard) + "_greedy_edp.json"),
+          "shard" + std::to_string(shard) + threads);
+      std::remove(out.c_str());
+    }
   }
   // Merging the committed shard goldens must reproduce the merged golden
   // (which differs from the unsharded sweep only by the omitted

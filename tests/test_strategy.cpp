@@ -1,6 +1,7 @@
-// Pluggable exploration strategies (core/strategy.h): the one-shot
-// strategy's bit-identity against the legacy engine across samplers,
-// mappers, and thread counts; successive halving's determinism, its
+// Pluggable exploration strategies (core/strategy.h): the default
+// (strategy == nullptr) run's bit-identity against an explicit one-shot
+// strategy across samplers, mappers, and thread counts; successive
+// halving's determinism, its progress stream, its
 // frontier-best-per-objective recovery at a bounded full-fidelity
 // budget, sharding, and resume; frontier refinement; the interleaved
 // combinator; and — when SIMPHONY_CLI_PATH is defined — the engine /
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -87,9 +89,9 @@ TEST(Strategy, ConstructorsValidateTheirKnobs) {
   EXPECT_THROW(InterleavedStrategy({}), std::invalid_argument);
 }
 
-// -------------------------------------------- one-shot == legacy engine
+// ------------------------------------------ default == explicit one-shot
 
-TEST(Strategy, OneShotMatchesLegacyEngineAcrossSamplersMappersThreads) {
+TEST(Strategy, DefaultMatchesExplicitOneShotAcrossSamplersMappersThreads) {
   const DseSpace space = small_space();
   const workload::Model model = workload::mlp_mnist();
   const GreedyMapper greedy;
@@ -103,18 +105,18 @@ TEST(Strategy, OneShotMatchesLegacyEngineAcrossSamplersMappersThreads) {
   for (const auto& [mapper_name, mapper] : mappers) {
     for (const auto& [sampler_name, sampler] : samplers) {
       for (int threads : {1, 2, 4}) {
-        DseOptions legacy;
-        legacy.num_threads = threads;
-        legacy.mapper = mapper;
-        legacy.sampler = sampler;
+        DseOptions by_default;
+        by_default.num_threads = threads;
+        by_default.mapper = mapper;
+        by_default.sampler = sampler;
         const DseResult expected =
-            explore(arch::tempo_template(), g_lib, model, space, legacy);
+            explore({arch::tempo_template()}, g_lib, model, space, by_default);
 
         OneShotStrategy one_shot;
-        DseOptions strategic = legacy;
+        DseOptions strategic = by_default;
         strategic.strategy = &one_shot;
         const DseResult actual =
-            explore(arch::tempo_template(), g_lib, model, space, strategic);
+            explore({arch::tempo_template()}, g_lib, model, space, strategic);
         SCOPED_TRACE(std::string(mapper_name) + "/" + sampler_name +
                      "/threads=" + std::to_string(threads));
         expect_bit_identical(actual, expected);
@@ -140,7 +142,7 @@ DseResult run_halving(const DseSpace& space, const workload::Model& model,
   options.shard = shard;
   options.skip_indices = skip;
   DseResult result =
-      explore(arch::tempo_template(), g_lib, model, space, options);
+      explore({arch::tempo_template()}, g_lib, model, space, options);
   if (stats != nullptr) *stats = halving.rung_stats();
   return result;
 }
@@ -171,6 +173,58 @@ TEST(Strategy, HalvingIsDeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(Strategy, HalvingProgressCarriesOnlyFullFidelityPoints) {
+  const DseSpace space = halving_space();
+  const workload::Model model = workload::mlp_mnist();
+  const BeamMapper full(4);
+  const GreedyMapper low;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    SuccessiveHalvingStrategy halving;
+    DseOptions options;
+    options.num_threads = threads;
+    options.mapper = &full;
+    options.low_fidelity_mapper = &low;
+    options.strategy = &halving;
+    std::mutex mutex;
+    size_t low_calls = 0;
+    size_t last = 0;
+    size_t last_total = 0;
+    std::set<size_t> streamed;
+    options.on_progress = [&](const Progress& p) {
+      std::lock_guard<std::mutex> lock(mutex);
+      EXPECT_GT(p.completed, last);
+      last = p.completed;
+      last_total = p.total;
+      if (p.point == nullptr) {
+        ++low_calls;
+      } else {
+        streamed.insert(p.point->index);
+      }
+    };
+    const DseResult result =
+        explore({arch::tempo_template()}, g_lib, model, space, options);
+
+    // One callback per candidate: the kLow rung's arrive without a point,
+    // and the full-fidelity ones stream exactly the result.
+    size_t low_candidates = 0;
+    size_t candidates = 0;
+    for (const RungStats& rung : halving.rung_stats()) {
+      candidates += rung.candidates;
+      if (rung.fidelity == FidelityLevel::kLow) {
+        low_candidates += rung.candidates;
+      }
+    }
+    EXPECT_GT(low_candidates, 0u);
+    EXPECT_EQ(low_calls, low_candidates);
+    EXPECT_EQ(last, candidates);
+    EXPECT_EQ(last_total, candidates);
+    std::set<size_t> result_indices;
+    for (const DsePoint& pt : result.points) result_indices.insert(pt.index);
+    EXPECT_EQ(streamed, result_indices);
+  }
+}
+
 TEST(Strategy, HalvingRecoversFrontierBestPerObjectiveWithinBudget) {
   // The acceptance bar: against the exhaustive one-shot oracle, halving
   // must return the exact best point per objective while paying full
@@ -184,7 +238,7 @@ TEST(Strategy, HalvingRecoversFrontierBestPerObjectiveWithinBudget) {
   oracle_options.num_threads = 4;
   oracle_options.mapper = &full;
   const DseResult oracle =
-      explore(arch::tempo_template(), g_lib, model, space, oracle_options);
+      explore({arch::tempo_template()}, g_lib, model, space, oracle_options);
   ASSERT_EQ(oracle.points.size(), 18u);
 
   std::vector<RungStats> stats;
@@ -296,7 +350,7 @@ TEST(Strategy, FrontierRefinementAppendsNeighborsBeyondTheSampledList) {
     options.mapper = &greedy;
     options.sampler = &sampler;
     options.strategy = &frontier;
-    return explore(arch::tempo_template(), g_lib, model, space, options);
+    return explore({arch::tempo_template()}, g_lib, model, space, options);
   };
   const DseResult first = run();
   EXPECT_GT(first.points.size(), 5u);  // base pass + refined neighbors
@@ -327,10 +381,10 @@ TEST(Strategy, InterleavedDropsDuplicateIndicesFirstChildWins) {
   options.num_threads = 2;
   options.strategy = &interleaved;
   const DseResult result =
-      explore(arch::tempo_template(), g_lib, model, space, options);
+      explore({arch::tempo_template()}, g_lib, model, space, options);
 
   const DseResult expected =
-      explore(arch::tempo_template(), g_lib, model, space, DseOptions{});
+      explore({arch::tempo_template()}, g_lib, model, space, DseOptions{});
   expect_bit_identical(result, expected);
 }
 
