@@ -258,34 +258,6 @@ core::DseShard parse_shard(const std::string& spec) {
   return shard;
 }
 
-/// The canonical DSE result document: metadata + the point list.  The
-/// --json output of an unsharded run and the --merge of its shards render
-/// this identically, so the two can be diff'd byte for byte.  (The
-/// non-merge DSE path renders the same document through
-/// core::ExploreResponse::to_json.)
-util::Json result_root(const std::string& model_name,
-                       const std::string& arch_label,
-                       const std::string& sampler_name,
-                       const std::string& aggregate, size_t total_points,
-                       const core::DseShard& shard,
-                       const core::DseResult& result) {
-  util::Json root = core::to_json(result);
-  root["model"] = model_name;
-  root["arch"] = arch_label;
-  root["sampler"] = sampler_name;
-  // Batched sweeps carry their aggregate mode; single-model documents
-  // omit the field (pre-batch byte-compatibility).
-  if (!aggregate.empty()) root["aggregate"] = aggregate;
-  root["total_points"] = total_points;
-  if (shard.count > 1) {
-    util::Json shard_json;
-    shard_json["index"] = shard.index;
-    shard_json["count"] = shard.count;
-    root["shard"] = std::move(shard_json);
-  }
-  return root;
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream f(path);
   if (!f) throw std::invalid_argument("cannot open " + path);
@@ -310,108 +282,33 @@ util::Json parse_json_file(const std::string& path) {
   }
 }
 
-std::string metadata_string(const util::Json& root, const std::string& key,
-                            const std::string& fallback) {
-  return root.contains(key) ? root.at(key).as_string() : fallback;
-}
-
-/// One comparable label for a result document's exploration strategy:
-/// "one-shot" when absent (pre-strategy files), else the name with its
-/// knobs ("halving eta=3 rungs=2").  Shard headers and --json responses
-/// spell the same strategy identically here, so mixed-source merges
-/// still compare.
-std::string strategy_label_of(const util::Json& root) {
-  if (!root.contains("strategy")) return "one-shot";
-  const util::Json& s = root.at("strategy");
-  std::string label = s.at("name").as_string();
-  if (s.contains("eta")) {
-    label += " eta=" +
-             std::to_string(static_cast<int>(s.at("eta").as_number()));
-  }
-  if (s.contains("rungs")) {
-    label += " rungs=" +
-             std::to_string(static_cast<int>(s.at("rungs").as_number()));
-  }
-  if (s.contains("refine_rounds")) {
-    label += " refine_rounds=" +
-             std::to_string(
-                 static_cast<int>(s.at("refine_rounds").as_number()));
-  }
-  return label;
-}
-
 /// --merge mode: recombine shard files into the canonical order with a
-/// recomputed global Pareto frontier.
+/// recomputed global Pareto frontier.  Every file must carry the same
+/// sweep header (shards aside); the merged document is rendered as the
+/// unsharded --json document of that sweep.
 int run_merge(const std::vector<std::string>& files,
               const std::string& out_path) {
   std::vector<core::DseResult> shards;
-  std::string model_name;
-  std::string arch_label;
-  std::string sampler_name;
-  std::string aggregate_name;
-  std::string objective_name;  // non-canned spec text; empty = canned
-  std::string strategy_label;
-  util::Json strategy_json;  // first file's strategy knobs, re-emitted
-  bool report_distinct = false;  // random-sampled sweeps: header-carried
-  size_t distinct = 0;           // distinct-point count, re-emitted
-  size_t total_points = 0;
+  core::ExploreHeader header;
   for (size_t i = 0; i < files.size(); ++i) {
     const util::Json root = parse_json_file(files[i]);
+    core::ExploreHeader file_header;
     try {
       shards.push_back(core::dse_result_from_json(root));
+      file_header = core::explore_header_from_json(root);
     } catch (const std::invalid_argument& error) {
       // Validation errors name the offending file too, not just the
       // field: across N shard files the bare message is not actionable.
       throw std::invalid_argument(files[i] + ": " + error.what());
     }
-    const std::string model = metadata_string(root, "model", "");
-    const std::string arch = metadata_string(root, "arch", "");
-    const std::string sampler = metadata_string(root, "sampler", "grid");
-    const std::string aggregate = metadata_string(root, "aggregate", "");
-    const std::string objective = metadata_string(root, "objective", "");
-    const std::string strategy = strategy_label_of(root);
-    const bool has_distinct = root.contains("distinct");
-    const size_t file_distinct =
-        has_distinct ? static_cast<size_t>(root.at("distinct").as_number())
-                     : 0;
-    const size_t total =
-        root.contains("total_points")
-            ? static_cast<size_t>(root.at("total_points").as_number())
-            : 0;
+    file_header.shard = core::DseShard{};
     if (i == 0) {
-      model_name = model;
-      arch_label = arch;
-      sampler_name = sampler;
-      aggregate_name = aggregate;
-      objective_name = objective;
-      strategy_label = strategy;
-      if (root.contains("strategy")) {
-        // Carry only the identifying knobs into the merged document —
-        // per-shard rung_stats are shard-local accounting, not sweep
-        // metadata.
-        const util::Json& s = root.at("strategy");
-        strategy_json["name"] = s.at("name").as_string();
-        if (s.contains("eta")) strategy_json["eta"] = s.at("eta");
-        if (s.contains("rungs")) strategy_json["rungs"] = s.at("rungs");
-        if (s.contains("refine_rounds")) {
-          strategy_json["refine_rounds"] = s.at("refine_rounds");
-        }
-      }
-      report_distinct = has_distinct;
-      distinct = file_distinct;
-      total_points = total;
-    } else if (model != model_name || arch != arch_label ||
-               sampler != sampler_name || aggregate != aggregate_name ||
-               objective != objective_name || strategy != strategy_label ||
-               has_distinct != report_distinct ||
-               file_distinct != distinct || total != total_points) {
-      // A distinct-count mismatch between random-sampled shards means a
-      // different seed or sample size — a different point list entirely.
+      header = file_header;
+    } else if (file_header != header) {
       throw std::invalid_argument(
           "--merge: " + files[i] + " is from a different sweep than " +
-          files[0] +
-          " (model/arch/sampler/aggregate/objective/strategy/distinct/"
-          "total_points mismatch)");
+          files[0] + " (" + core::header_mismatch(header, file_header) +
+          ")");
     }
   }
   // Attribute duplicate canonical indices to the files carrying them:
@@ -433,26 +330,23 @@ int run_merge(const std::vector<std::string>& files,
   // an empty stamp means a canned objective (the legacy triple), so
   // legacy merges stay byte-identical.
   const core::ObjectiveSpec objective_spec =
-      objective_name.empty() ? core::ObjectiveSpec()
-                             : core::ObjectiveSpec::parse(objective_name);
+      header.objective.empty() ? core::ObjectiveSpec()
+                               : core::ObjectiveSpec::parse(header.objective);
   const core::DseResult merged =
       core::merge(std::move(shards), core::pareto_axes(objective_spec));
-  if (total_points == 0) total_points = merged.points.size();
+  if (header.total_points == 0) header.total_points = merged.points.size();
   // Adaptive strategies legitimately emit fewer (halving: survivors
   // only) or more (frontier: refined neighbors) points than the sampled
   // space holds, so the missing-shard heuristic only applies to
   // exhaustive one-shot sweeps.
-  if (merged.points.size() != total_points && strategy_label == "one-shot") {
+  if (merged.points.size() != header.total_points &&
+      header.strategy.empty()) {
     std::cerr << "simphony_cli: warning: merged " << merged.points.size()
-              << " of " << total_points
+              << " of " << header.total_points
               << " points — missing shard file(s)?\n";
   }
-  util::Json root =
-      result_root(model_name, arch_label, sampler_name, aggregate_name,
-                  total_points, core::DseShard{}, merged);
-  if (!objective_name.empty()) root["objective"] = objective_name;
-  if (strategy_label != "one-shot") root["strategy"] = strategy_json;
-  if (report_distinct) root["distinct"] = distinct;
+  util::Json root = core::to_json(merged);
+  core::add_header_fields(root, header);
   if (out_path.empty()) {
     std::cout << root.dump(2) << "\n";
   } else {
@@ -467,14 +361,9 @@ int run_merge(const std::vector<std::string>& files,
 /// response: the table and CSV show the aggregate metrics, `--json` /
 /// `--out` points additionally carry per-model rows (batched sweeps).
 int run_dse(core::Engine& engine, const core::ExploreRequest& request,
-            bool batch, size_t total_points, const std::string& out_path,
+            const core::ExploreHeader& header, const std::string& out_path,
             const std::string& cache_file, bool resume, bool as_json,
             bool as_csv) {
-  // The engine owns these as ground truth; deriving the CLI's metadata
-  // and resume verification from the same helpers means the labels (and
-  // the --resume point check) can never drift from what it evaluates.
-  const core::DseShardWriter::Metadata metadata =
-      core::explore_metadata(request);
 
   // --cache-file: warm-start the cost-matrix cache.  The engine loaded
   // it at construction (a missing file is a cold start; a damaged one
@@ -516,35 +405,10 @@ int run_dse(core::Engine& engine, const core::ExploreRequest& request,
       if (!salvage.message.empty()) {
         std::cerr << "simphony_cli: " << salvage.message << "\n";
       }
-      const core::DseShardWriter::Metadata& got = salvage.metadata;
-      if (got.arch != metadata.arch || got.model != metadata.model ||
-          got.sampler != metadata.sampler ||
-          got.aggregate != metadata.aggregate ||
-          got.objective != metadata.objective ||
-          got.strategy != metadata.strategy || got.eta != metadata.eta ||
-          got.rungs != metadata.rungs ||
-          got.shard.index != metadata.shard.index ||
-          got.shard.count != metadata.shard.count ||
-          got.total_points != metadata.total_points) {
-        const auto strategy_or = [](const std::string& name) {
-          return name.empty() ? std::string("one-shot") : name;
-        };
-        // An empty stamp means any canned objective (they all share the
-        // legacy point semantics, so shards interchange freely).
-        const auto objective_or = [](const std::string& text) {
-          return text.empty() ? std::string("(canned)") : text;
-        };
+      if (salvage.header != header) {
         throw std::invalid_argument(
-            source + ": --resume metadata mismatch (file: arch=" + got.arch +
-            " model=" + got.model + " sampler=" + got.sampler +
-            " objective=" + objective_or(got.objective) +
-            " strategy=" + strategy_or(got.strategy) +
-            " total_points=" + std::to_string(got.total_points) +
-            "; current run: arch=" + metadata.arch + " model=" +
-            metadata.model + " sampler=" + metadata.sampler +
-            " objective=" + objective_or(metadata.objective) +
-            " strategy=" + strategy_or(metadata.strategy) +
-            " total_points=" + std::to_string(metadata.total_points) + ")");
+            source + ": --resume metadata mismatch (file vs current run: " +
+            core::header_mismatch(salvage.header, header) + ")");
       }
       // Per-index parameter verification: the sampled point list is a
       // pure function of (space, sampler, seed), so matching every
@@ -568,7 +432,7 @@ int run_dse(core::Engine& engine, const core::ExploreRequest& request,
       }
       recovered = std::move(salvage.result);
       std::cerr << "simphony_cli: resuming " << out_path << ": "
-                << recovered.points.size() << " of " << total_points
+                << recovered.points.size() << " of " << header.total_points
                 << " point(s) recovered\n";
     }
   }
@@ -582,7 +446,7 @@ int run_dse(core::Engine& engine, const core::ExploreRequest& request,
   // restores canonical order and recomputes the frontier.
   std::unique_ptr<core::DseShardWriter> shard_writer;
   if (!out_path.empty()) {
-    shard_writer = std::make_unique<core::DseShardWriter>(out_path, metadata);
+    shard_writer = std::make_unique<core::DseShardWriter>(out_path, header);
     // Re-emit the recovered prefix first; the committed file is then
     // byte-identical to an uninterrupted run's.
     for (const core::DsePoint& pt : recovered.points) {
@@ -664,20 +528,18 @@ int run_dse(core::Engine& engine, const core::ExploreRequest& request,
     return 0;
   }
 
-  std::cout << "== DSE: " << response.model_label << " on "
-            << response.arch_label << " (" << result.points.size() << " of "
-            << total_points << " points, sampler " << response.sampler_name;
-  if (request.strategy != "one-shot") {
-    std::cout << ", strategy " << request.strategy;
-  }
-  if (request.shard.count > 1) {
-    std::cout << ", shard " << request.shard.index << "/"
-              << request.shard.count;
+  std::cout << "== DSE: " << header.model << " on " << header.arch << " ("
+            << result.points.size() << " of " << header.total_points
+            << " points, sampler " << header.sampler;
+  if (!header.strategy.empty()) std::cout << ", strategy " << header.strategy;
+  if (header.shard.count > 1) {
+    std::cout << ", shard " << header.shard.index << "/"
+              << header.shard.count;
   }
   std::cout << ") ==\n";
-  if (batch) {
+  if (!header.aggregate.empty()) {
     std::cout << "batch of " << request.base.models.size()
-              << " model(s), aggregate " << response.aggregate_label
+              << " model(s), aggregate " << header.aggregate
               << " (per-model rows in --json / --out)\n";
   }
   util::Table table({"#", "R", "C", "HxW", "L", "bits(in/w/out)",
@@ -713,7 +575,7 @@ int run_dse(core::Engine& engine, const core::ExploreRequest& request,
               << util::Table::fmt(100.0 * response.cache.hit_rate(), 1)
               << "% hit rate)\n";
   }
-  if (request.shard.count > 1) {
+  if (header.shard.count > 1) {
     std::cout << "(shard-local frontier; --merge the shard files for the "
                  "global one)\n";
   }
@@ -1125,23 +987,16 @@ int run(int argc, char** argv) {
     // Sampler and strategy validation (e.g. "--sample random needs
     // --samples N", "--eta expects an integer >= 2") fires before the
     // engine loads the cache file, like the hand-rolled flow.
-    (void)core::make_sampler(explore_request);
-    (void)core::make_strategy(explore_request);
-    const size_t total_points =
-        explore_request.samples > 0
-            ? static_cast<size_t>(explore_request.samples)
-            : [&] {
-                core::DseSpace space = explore_request.space;
-                space.base = request.params;
-                return space.size();
-              }();
+    const core::ExploreHeader header = core::explore_header(
+        explore_request, resolved,
+        core::resolve_templates(explore_request.base));
 
     core::Engine::Options engine_options;
     engine_options.num_threads = 1;  // the CLI evaluates synchronously
     engine_options.cache_file = cache_file;
     core::Engine engine(engine_options);
-    return run_dse(engine, explore_request, batch, total_points, out_path,
-                   cache_file, resume, as_json, as_csv);
+    return run_dse(engine, explore_request, header, out_path, cache_file,
+                   resume, as_json, as_csv);
   }
   if (!dse_flag_seen.empty()) {
     throw std::invalid_argument(dse_flag_seen +

@@ -4,7 +4,9 @@
 # served results to be byte-identical to the one-shot CLI's --json
 # output.  Then ask for a graceful shutdown and require the daemon to
 # exit cleanly with its cost cache persisted (loadable by the one-shot
-# CLI — the two sides share the SPCC store).
+# CLI — the two sides share the SPCC store).  Finally restart it, hold
+# an idle client connection open, send SIGTERM, and require the daemon
+# to exit within 5 s anyway.
 #
 # usage: scripts/daemon_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -20,8 +22,10 @@ done
 
 WORK_DIR="$(mktemp -d)"
 DAEMON_PID=""
+IDLE_PID=""
 cleanup() {
   [[ -n "$DAEMON_PID" ]] && kill "$DAEMON_PID" 2> /dev/null || true
+  [[ -n "$IDLE_PID" ]] && kill "$IDLE_PID" 2> /dev/null || true
   rm -rf "$WORK_DIR"
 }
 trap cleanup EXIT
@@ -29,18 +33,25 @@ trap cleanup EXIT
 SOCK="unix:$WORK_DIR/simphonyd.sock"
 CACHE="$WORK_DIR/costs.spcc"
 
-"$DAEMON" --listen "$SOCK" --cache-file "$CACHE" \
-    2> "$WORK_DIR/daemon.log" &
-DAEMON_PID=$!
-for _ in $(seq 50); do
-  grep -q "listening on" "$WORK_DIR/daemon.log" 2> /dev/null && break
-  kill -0 "$DAEMON_PID" 2> /dev/null || {
-    echo "FAIL: simphonyd died on startup" >&2
-    cat "$WORK_DIR/daemon.log" >&2
-    exit 1
-  }
-  sleep 0.1
-done
+# start_daemon LOG [ARGS...]: launch simphonyd on $SOCK, wait until it
+# listens, and leave its pid in DAEMON_PID.
+start_daemon() {
+  local log="$1"
+  shift
+  "$DAEMON" --listen "$SOCK" "$@" 2> "$log" &
+  DAEMON_PID=$!
+  for _ in $(seq 50); do
+    grep -q "listening on" "$log" 2> /dev/null && return 0
+    kill -0 "$DAEMON_PID" 2> /dev/null || {
+      echo "FAIL: simphonyd died on startup" >&2
+      cat "$log" >&2
+      exit 1
+    }
+    sleep 0.1
+  done
+}
+
+start_daemon "$WORK_DIR/daemon.log" --cache-file "$CACHE"
 
 # One mapped simulate and one costed sweep, as typed request JSON.
 cat > "$WORK_DIR/simulate.json" <<'JSON'
@@ -106,5 +117,45 @@ grep -q "cached cost entr" "$WORK_DIR/reload.log" || {
   exit 1
 }
 echo "ok: graceful shutdown persisted the cache; one-shot CLI loads it"
+
+# SIGTERM with an idle client connected: the client pings (so the daemon
+# has accepted it), then sends nothing more and waits for the daemon to
+# hang up.  The daemon must still exit within 5 s.
+start_daemon "$WORK_DIR/daemon_idle.log"
+python3 - "${SOCK#unix:}" > "$WORK_DIR/idle.out" <<'PY' &
+import socket, sys
+client = socket.socket(socket.AF_UNIX)
+client.settimeout(30)
+client.connect(sys.argv[1])
+client.sendall(b'{"op": "ping"}\n')
+replies = client.makefile("rb")
+replies.readline()
+print("connected", flush=True)
+replies.readline()  # idle until the daemon closes the connection
+PY
+IDLE_PID=$!
+for _ in $(seq 50); do
+  grep -q connected "$WORK_DIR/idle.out" 2> /dev/null && break
+  sleep 0.1
+done
+grep -q connected "$WORK_DIR/idle.out" || {
+  echo "FAIL: idle client never got its ping answered" >&2
+  exit 1
+}
+kill -TERM "$DAEMON_PID"
+for _ in $(seq 50); do
+  kill -0 "$DAEMON_PID" 2> /dev/null || break
+  sleep 0.1
+done
+if kill -0 "$DAEMON_PID" 2> /dev/null; then
+  echo "FAIL: simphonyd still running 5 s after SIGTERM with an idle" \
+       "client connected" >&2
+  exit 1
+fi
+wait "$DAEMON_PID"
+DAEMON_PID=""
+wait "$IDLE_PID"
+IDLE_PID=""
+echo "ok: SIGTERM with an idle client connected exits within 5 s"
 
 echo "daemon smoke test passed"

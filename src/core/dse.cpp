@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <set>
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
@@ -742,6 +743,97 @@ DsePoint dse_point_from_json(const util::Json& j) {
   return point;
 }
 
+// ------------------------------------------------------------ ExploreHeader
+
+void add_header_fields(util::Json& root, const ExploreHeader& header) {
+  root["arch"] = header.arch;
+  root["model"] = header.model;
+  root["sampler"] = header.sampler;
+  if (header.report_distinct) root["distinct"] = header.distinct;
+  if (!header.aggregate.empty()) root["aggregate"] = header.aggregate;
+  if (!header.objective.empty()) root["objective"] = header.objective;
+  if (!header.strategy.empty()) {
+    util::Json strategy;
+    strategy["name"] = header.strategy;
+    if (header.eta > 0) strategy["eta"] = header.eta;
+    if (header.rungs > 0) strategy["rungs"] = header.rungs;
+    if (header.refine_rounds > 0) {
+      strategy["refine_rounds"] = header.refine_rounds;
+    }
+    root["strategy"] = std::move(strategy);
+  }
+  if (header.shard.count > 1) {
+    util::Json shard;
+    shard["index"] = header.shard.index;
+    shard["count"] = header.shard.count;
+    root["shard"] = std::move(shard);
+  }
+  root["total_points"] = header.total_points;
+}
+
+ExploreHeader explore_header_from_json(const util::Json& root) {
+  ExploreHeader header;
+  const auto read_string = [](const util::Json& j, const char* key,
+                              std::string* out) {
+    if (j.contains(key)) *out = j.at(key).as_string();
+  };
+  const auto read_int = [](const util::Json& j, const char* key, int* out) {
+    if (j.contains(key)) *out = static_cast<int>(j.at(key).as_number());
+  };
+  read_string(root, "arch", &header.arch);
+  read_string(root, "model", &header.model);
+  read_string(root, "sampler", &header.sampler);
+  read_string(root, "aggregate", &header.aggregate);
+  read_string(root, "objective", &header.objective);
+  if (root.contains("distinct")) {
+    header.distinct = static_cast<size_t>(root.at("distinct").as_number());
+    header.report_distinct = true;
+  }
+  if (root.contains("strategy")) {
+    const util::Json& strategy = root.at("strategy");
+    header.strategy = strategy.at("name").as_string();
+    read_int(strategy, "eta", &header.eta);
+    read_int(strategy, "rungs", &header.rungs);
+    read_int(strategy, "refine_rounds", &header.refine_rounds);
+  }
+  if (root.contains("shard")) {
+    read_int(root.at("shard"), "index", &header.shard.index);
+    read_int(root.at("shard"), "count", &header.shard.count);
+  }
+  if (root.contains("total_points")) {
+    header.total_points =
+        static_cast<size_t>(root.at("total_points").as_number());
+  }
+  return header;
+}
+
+std::string header_mismatch(const ExploreHeader& a, const ExploreHeader& b) {
+  // Compare the rendered fields, so every field the documents carry is
+  // named (with its knobs, e.g. a strategy's eta and rungs) — and the
+  // shard, which add_header_fields omits when unsharded.
+  util::Json fields[2];
+  for (int side = 0; side < 2; ++side) {
+    const ExploreHeader& header = side == 0 ? a : b;
+    add_header_fields(fields[side], header);
+    fields[side]["shard"] = std::to_string(header.shard.index) + "/" +
+                            std::to_string(header.shard.count);
+  }
+  std::set<std::string> keys;
+  for (const util::Json& side : fields) {
+    for (const auto& [key, value] : side.as_object()) keys.insert(key);
+  }
+  std::string out;
+  for (const std::string& key : keys) {
+    const auto text = [&key](const util::Json& side) {
+      return side.contains(key) ? side.at(key).dump(-1) : "(none)";
+    };
+    if (text(fields[0]) == text(fields[1])) continue;
+    if (!out.empty()) out += ", ";
+    out += key + " " + text(fields[0]) + " vs " + text(fields[1]);
+  }
+  return out;
+}
+
 // ---------------------------------------------------------- DseShardWriter
 
 namespace {
@@ -891,42 +983,42 @@ class AtomicFileSink final : public ShardSink {
 }  // namespace
 
 DseShardWriter::DseShardWriter(std::unique_ptr<ShardSink> sink,
-                               Metadata metadata)
+                               ExploreHeader header)
     : sink_(std::move(sink)) {
-  std::string header;
-  header += "{\n\"arch\": " + util::Json(metadata.arch).dump(-1);
-  header += ",\n\"model\": " + util::Json(metadata.model).dump(-1);
-  header += ",\n\"sampler\": " + util::Json(metadata.sampler).dump(-1);
-  if (metadata.report_distinct) {
-    header += ",\n\"distinct\": " + std::to_string(metadata.distinct);
+  // One field per line in a fixed key order (the committed shard goldens
+  // pin it), omitting optional fields exactly like add_header_fields().
+  const auto quoted = [](const std::string& text) {
+    return util::Json(text).dump(-1);
+  };
+  std::string text = "{\n\"arch\": " + quoted(header.arch);
+  text += ",\n\"model\": " + quoted(header.model);
+  text += ",\n\"sampler\": " + quoted(header.sampler);
+  if (header.report_distinct) {
+    text += ",\n\"distinct\": " + std::to_string(header.distinct);
   }
-  if (!metadata.aggregate.empty()) {
-    header += ",\n\"aggregate\": " + util::Json(metadata.aggregate).dump(-1);
+  if (!header.aggregate.empty()) {
+    text += ",\n\"aggregate\": " + quoted(header.aggregate);
   }
-  // Non-canned objective specs change point semantics (extra Pareto axes,
-  // p99 fields), so --resume / --merge must refuse mismatched shards; the
-  // canned specs stamp nothing, keeping legacy documents byte-identical.
-  if (!metadata.objective.empty()) {
-    header += ",\n\"objective\": " + util::Json(metadata.objective).dump(-1);
+  if (!header.objective.empty()) {
+    text += ",\n\"objective\": " + quoted(header.objective);
   }
-  // Strategy runs record how the sweep was driven so --resume / --merge
-  // can refuse mismatched shards; one-shot sweeps omit the object
-  // entirely, keeping their documents byte-identical to older files.
-  if (!metadata.strategy.empty()) {
-    header += ",\n\"strategy\": {\"name\": " +
-              util::Json(metadata.strategy).dump(-1);
-    if (metadata.eta > 0) header += ", \"eta\": " + std::to_string(metadata.eta);
-    if (metadata.rungs > 0) {
-      header += ", \"rungs\": " + std::to_string(metadata.rungs);
+  if (!header.strategy.empty()) {
+    text += ",\n\"strategy\": {\"name\": " + quoted(header.strategy);
+    if (header.eta > 0) text += ", \"eta\": " + std::to_string(header.eta);
+    if (header.rungs > 0) {
+      text += ", \"rungs\": " + std::to_string(header.rungs);
     }
-    header += "}";
+    if (header.refine_rounds > 0) {
+      text += ", \"refine_rounds\": " + std::to_string(header.refine_rounds);
+    }
+    text += "}";
   }
-  header += ",\n\"shard\": {\"count\": " + std::to_string(metadata.shard.count) +
-            ", \"index\": " + std::to_string(metadata.shard.index) + "}";
-  header += ",\n\"total_points\": " + std::to_string(metadata.total_points);
-  header += ",\n\"points\": [";
-  sink_->write(header);
-  header_ = std::move(header);
+  text += ",\n\"shard\": {\"count\": " + std::to_string(header.shard.count) +
+          ", \"index\": " + std::to_string(header.shard.index) + "}";
+  text += ",\n\"total_points\": " + std::to_string(header.total_points);
+  text += ",\n\"points\": [";
+  sink_->write(text);
+  header_ = std::move(text);
   // Terminate the document immediately: a sweep killed while its first
   // (possibly expensive) point is still simulating must already leave a
   // parseable zero-point shard on disk.
@@ -936,13 +1028,12 @@ DseShardWriter::DseShardWriter(std::unique_ptr<ShardSink> sink,
   sink_->seek(header_end);
 }
 
-DseShardWriter::DseShardWriter(std::ostream& out, Metadata metadata)
-    : DseShardWriter(std::make_unique<OstreamSink>(out),
-                     std::move(metadata)) {}
+DseShardWriter::DseShardWriter(std::ostream& out, ExploreHeader header)
+    : DseShardWriter(std::make_unique<OstreamSink>(out), std::move(header)) {}
 
-DseShardWriter::DseShardWriter(const std::string& path, Metadata metadata)
+DseShardWriter::DseShardWriter(const std::string& path, ExploreHeader header)
     : DseShardWriter(std::make_unique<AtomicFileSink>(path),
-                     std::move(metadata)) {}
+                     std::move(header)) {}
 
 void DseShardWriter::add_point(const DsePoint& point) {
   if (finished_) {
@@ -996,38 +1087,6 @@ namespace {
       (origin.empty() ? std::string() : origin + ": ") + what);
 }
 
-DseShardWriter::Metadata metadata_from_header(const util::Json& root) {
-  DseShardWriter::Metadata meta;
-  meta.arch = root.at("arch").as_string();
-  meta.model = root.at("model").as_string();
-  meta.sampler = root.at("sampler").as_string();
-  if (root.contains("distinct")) {
-    meta.distinct = static_cast<size_t>(root.at("distinct").as_number());
-    meta.report_distinct = true;
-  }
-  if (root.contains("aggregate")) {
-    meta.aggregate = root.at("aggregate").as_string();
-  }
-  if (root.contains("objective")) {
-    meta.objective = root.at("objective").as_string();
-  }
-  if (root.contains("strategy")) {
-    const util::Json& strategy = root.at("strategy");
-    meta.strategy = strategy.at("name").as_string();
-    if (strategy.contains("eta")) {
-      meta.eta = static_cast<int>(strategy.at("eta").as_number());
-    }
-    if (strategy.contains("rungs")) {
-      meta.rungs = static_cast<int>(strategy.at("rungs").as_number());
-    }
-  }
-  const util::Json& shard = root.at("shard");
-  meta.shard.count = static_cast<int>(shard.at("count").as_number());
-  meta.shard.index = static_cast<int>(shard.at("index").as_number());
-  meta.total_points = static_cast<size_t>(root.at("total_points").as_number());
-  return meta;
-}
-
 }  // namespace
 
 ShardRecovery recover_shard_text(const std::string& text,
@@ -1038,7 +1097,7 @@ ShardRecovery recover_shard_text(const std::string& text,
   // writer can leave behind, and every finished file) parses whole.
   try {
     const util::Json root = util::Json::parse(text);
-    recovery.metadata = metadata_from_header(root);
+    recovery.header = explore_header_from_json(root);
     recovery.result = dse_result_from_json(root);
     recovery.complete = true;
     return recovery;
@@ -1059,7 +1118,7 @@ ShardRecovery recover_shard_text(const std::string& text,
   try {
     const util::Json header =
         util::Json::parse(text.substr(0, body_start) + "]}");
-    recovery.metadata = metadata_from_header(header);
+    recovery.header = explore_header_from_json(header);
   } catch (const std::invalid_argument& error) {
     recovery_fail(origin, std::string("shard header unrecoverable: ") +
                               error.what());
@@ -1229,6 +1288,7 @@ DseResult run_strategy_engine(
         DsePoint& out = store[fresh_slot[u]];
         out = evaluate(c.params, c.fidelity);
         out.index = c.index;
+        out.rung = c.rung;
         report_progress(out, c.fidelity);
       });
     }
@@ -1239,6 +1299,7 @@ DseResult run_strategy_engine(
     for (size_t b = 0; b < batch.size(); ++b) {
       results.push_back(store[slot_of[b]]);
       results.back().index = batch[b].index;
+      results.back().rung = batch[b].rung;
       if (next_fresh < fresh_candidate.size() &&
           fresh_candidate[next_fresh] == b) {
         ++next_fresh;  // evaluated (and reported) on a worker above

@@ -79,6 +79,8 @@ struct DseSpace {
 struct DseShard {
   int index = 0;
   int count = 1;
+
+  bool operator==(const DseShard&) const = default;
 };
 
 /// Strategy producing the ordered list of parameter points explore()
@@ -346,11 +348,69 @@ class ShardSink {
   virtual void commit(const std::string& document) = 0;
 };
 
+/// The header of an explore document: everything that identifies the
+/// sweep a point list belongs to.  One struct serves the --json document
+/// (ExploreResponse::to_json), the streamed --out shard file
+/// (DseShardWriter), --merge and --resume, which compare headers with ==
+/// to refuse points from a different sweep.  Optional fields hold their
+/// "absent" value (empty string, 0, false) and are then omitted from
+/// every rendering, keeping legacy documents byte-identical.
+struct ExploreHeader {
+  std::string arch;
+  std::string model;
+  std::string sampler = "grid";
+  /// Batched sweeps record their BatchAggregate mode ("sum" | "max" |
+  /// "weighted"); empty for single-model sweeps.
+  std::string aggregate;
+  /// Strategy-driven sweeps record the strategy name and its knobs;
+  /// empty for one-shot sweeps.  eta/rungs are set for "halving" only,
+  /// refine_rounds for "frontier" only.
+  std::string strategy;
+  int eta = 0;
+  int rungs = 0;
+  int refine_rounds = 0;
+  /// Random-sampled sweeps record the sample's distinct-point count (a
+  /// pure function of space/samples/seed, so identical across the shards
+  /// of one sweep); other samplers omit it.
+  size_t distinct = 0;
+  bool report_distinct = false;
+  /// Non-canned objective specs (core/metrics.h ObjectiveSpec::text);
+  /// empty for the canned latency/energy/edp sweeps.
+  std::string objective;
+  DseShard shard;
+  size_t total_points = 0;
+
+  bool operator==(const ExploreHeader&) const = default;
+};
+
+/// Adds the header fields to a JSON document root (the --json and
+/// --merge rendering): "shard" only when sharded, "strategy" as
+/// {"name", knobs...} only for strategy-driven sweeps.
+void add_header_fields(util::Json& root, const ExploreHeader& header);
+
+/// Parses the header of any explore document: a --out shard file, a
+/// --json document (no "shard" object reads as unsharded), or a
+/// --merge result.  Absent fields keep their defaults (a missing
+/// "total_points" reads as 0) and per-run accounting such as
+/// "strategy.rung_stats" is ignored.  Throws std::invalid_argument on a
+/// field of the wrong type.
+[[nodiscard]] ExploreHeader explore_header_from_json(const util::Json& root);
+
+/// "field a vs b" for every field on which two headers differ, joined
+/// with ", "; empty when they are equal.  Both --merge and --resume
+/// report mismatches with it.
+[[nodiscard]] std::string header_mismatch(const ExploreHeader& a,
+                                          const ExploreHeader& b);
+
 /// Streams completed DsePoints to a sink as a canonical shard document
 /// (the format `--out` writes and `--merge` reads):
 ///
 ///   {"arch": ..., "model": ..., "sampler": ..., "shard": {...},
 ///    "total_points": N, "points": [ <point>, ... ]}
+///
+/// The header lines render an ExploreHeader in a fixed key order of
+/// their own (optional fields omitted as in add_header_fields, but
+/// "shard" always present); explore_header_from_json reads them back.
 ///
 /// The constructor and every add_point() terminate the document and
 /// flush before seeking the put pointer back over the footer — so the
@@ -362,41 +422,9 @@ class ShardSink {
 /// document is the same for any thread count.
 class DseShardWriter {
  public:
-  struct Metadata {
-    std::string arch;
-    std::string model;
-    std::string sampler = "grid";
-    /// Batched sweeps record their BatchAggregate mode ("sum" | "max" |
-    /// "weighted") so --merge can reproduce the unsharded document;
-    /// empty (single-model sweeps) omits the field entirely.
-    std::string aggregate;
-    /// Strategy-driven sweeps record the strategy identity so --resume
-    /// can verify the interrupted run's schedule and --merge can check
-    /// shard consistency; empty (one-shot sweeps) omits the "strategy"
-    /// header object entirely, keeping pre-strategy documents
-    /// byte-identical.  eta/rungs are meaningful for "halving" only.
-    std::string strategy;
-    int eta = 0;
-    int rungs = 0;
-    /// Random-sampled sweeps record the sample's distinct-point count
-    /// (a pure function of space/samples/seed, so identical across the
-    /// shards of one sweep) so --merge reproduces the unsharded
-    /// document's "distinct" field; other samplers omit it.
-    size_t distinct = 0;
-    bool report_distinct = false;
-    /// Non-canned objective specs (core/metrics.h ObjectiveSpec::text)
-    /// are stamped into the header so --merge / --resume can verify the
-    /// shards rank and mark frontiers identically; empty (the canned
-    /// latency/energy/edp sweeps) omits the field, keeping legacy shard
-    /// documents byte-identical.
-    std::string objective;
-    DseShard shard;
-    size_t total_points = 0;
-  };
-
   /// Writes the document header immediately.  The stream is not owned and
   /// must outlive the writer.
-  DseShardWriter(std::ostream& out, Metadata metadata);
+  DseShardWriter(std::ostream& out, ExploreHeader header);
 
   /// Durable file-backed writer: streams to `path + ".tmp"` with an
   /// fsync on every flushed point; finish() writes the index-sorted
@@ -405,10 +433,10 @@ class DseShardWriter {
   /// either the intact, always-parseable temp file (the --resume
   /// artifact) or the committed document.  Throws util::IoError naming
   /// the file when the temp file cannot be created.
-  DseShardWriter(const std::string& path, Metadata metadata);
+  DseShardWriter(const std::string& path, ExploreHeader header);
 
   /// Caller-supplied sink (tests, custom transports).
-  DseShardWriter(std::unique_ptr<ShardSink> sink, Metadata metadata);
+  DseShardWriter(std::unique_ptr<ShardSink> sink, ExploreHeader header);
 
   /// Appends one point (completion order; the point's canonical index
   /// travels in its "index" field) and re-terminates the document.
@@ -434,7 +462,7 @@ class DseShardWriter {
 /// What recover_shard_text() salvaged from a shard document (--resume,
 /// and --merge's damaged-input path).
 struct ShardRecovery {
-  DseShardWriter::Metadata metadata;
+  ExploreHeader header;
   /// The valid point prefix, in file order (completion order of the
   /// interrupted run), canonical indices preserved.
   DseResult result;

@@ -363,14 +363,16 @@ std::vector<arch::PtcTemplate> resolve_templates(
   return templates;
 }
 
-std::string arch_label(const SimulateRequest& request) {
-  const std::vector<arch::PtcTemplate> templates =
-      resolve_templates(request);
+std::string arch_label(const std::vector<arch::PtcTemplate>& templates) {
   std::string label = templates.front().name;
   for (size_t t = 1; t < templates.size(); ++t) {
     label += "+" + templates[t].name;
   }
   return label;
+}
+
+std::string arch_label(const SimulateRequest& request) {
+  return arch_label(resolve_templates(request));
 }
 
 ResolvedModels resolve_models(const SimulateRequest& request) {
@@ -493,68 +495,56 @@ std::vector<arch::ArchParams> resolve_points(const ExploreRequest& request) {
   return sampler != nullptr ? sampler->sample(space) : space.enumerate();
 }
 
-namespace {
-
-/// Distinct-point count of the redrawing random sampler's list: a cheap
-/// deterministic re-sample (no evaluation), a pure function of
-/// space/samples/seed — so every shard of one sweep computes the same
-/// value.  Only meaningful when the request uses the random sampler.
-size_t random_sample_distinct(const ExploreRequest& request) {
+ExploreHeader explore_header(const ExploreRequest& request,
+                             const ResolvedModels& models,
+                             const std::vector<arch::PtcTemplate>& templates) {
+  ExploreHeader header;
+  header.arch = arch_label(templates);
+  header.model = models.label;
+  const std::unique_ptr<DseSampler> sampler = make_sampler(request);
+  if (make_strategy(request) != nullptr) {  // validates name and knobs
+    header.strategy = request.strategy;
+    if (request.strategy == "halving") {
+      header.eta = request.eta;
+      header.rungs = request.rungs;
+    } else if (request.strategy == "frontier") {
+      header.refine_rounds = request.refine_rounds;
+    }
+  }
   DseSpace space = request.space;
   space.base = request.base.params;
-  const std::unique_ptr<DseSampler> sampler = make_sampler(request);
-  const std::vector<arch::ArchParams> drawn = sampler->sample(space);
-  const std::unordered_set<arch::ArchParams, ArchParamsHash> unique_points(
-      drawn.begin(), drawn.end());
-  return unique_points.size();
-}
-
-}  // namespace
-
-DseShardWriter::Metadata explore_metadata(const ExploreRequest& request) {
-  const ResolvedModels resolved = resolve_models(request.base);
-  DseShardWriter::Metadata metadata;
-  metadata.arch = arch_label(request.base);
-  metadata.model = resolved.label;
-  metadata.sampler = make_sampler(request) != nullptr ? request.sample
-                                                      : "grid";
-  if (metadata.sampler == "random") {
-    metadata.distinct = random_sample_distinct(request);
-    metadata.report_distinct = true;
+  if (sampler != nullptr) {
+    header.sampler = request.sample;
+    header.total_points = static_cast<size_t>(request.samples);
+  } else {
+    header.total_points = space.size();
   }
-  if (resolved.workloads.size() > 1) {
+  if (header.sampler == "random") {
+    // The redrawing random sampler's distinct-point count: a cheap
+    // deterministic re-sample (no evaluation), a pure function of
+    // space/samples/seed, so every shard of one sweep records the same.
+    const std::vector<arch::ArchParams> drawn = sampler->sample(space);
+    header.distinct =
+        std::unordered_set<arch::ArchParams, ArchParamsHash>(drawn.begin(),
+                                                             drawn.end())
+            .size();
+    header.report_distinct = true;
+  }
+  if (models.workloads.size() > 1) {
     const std::optional<BatchAggregate> aggregate =
         parse_aggregate(request.base.aggregate);
     if (!aggregate) {
       throw std::invalid_argument("--aggregate expects sum|max|weighted, "
                                   "got '" + request.base.aggregate + "'");
     }
-    metadata.aggregate = to_string(*aggregate);
+    header.aggregate = to_string(*aggregate);
   }
   // Non-canned objectives change point semantics (extra Pareto axes, p99
-  // fields), so the spec text is stamped for --resume / --merge matching;
-  // canned specs stamp nothing, keeping legacy shard files byte-identical.
+  // fields); canned specs stamp nothing.
   const ObjectiveSpec objective = ObjectiveSpec::parse(request.base.objective);
-  if (!objective.canned_objective()) metadata.objective = objective.text();
-  if (request.strategy != "one-shot") {
-    // Surfaces range/name errors with the CLI's wording before any
-    // header bytes are written; the instance itself is not needed here.
-    static_cast<void>(make_strategy(request));
-    metadata.strategy = request.strategy;
-    if (request.strategy == "halving") {
-      metadata.eta = request.eta;
-      metadata.rungs = request.rungs;
-    }
-  }
-  metadata.shard = request.shard;
-  if (request.samples > 0) {
-    metadata.total_points = static_cast<size_t>(request.samples);
-  } else {
-    DseSpace space = request.space;
-    space.base = request.base.params;
-    metadata.total_points = space.size();
-  }
-  return metadata;
+  if (!objective.canned_objective()) header.objective = objective.text();
+  header.shard = request.shard;
+  return header;
 }
 
 // -------------------------------------------------- response rendering
@@ -604,31 +594,8 @@ util::Json SimulateResponse::to_json() const {
 
 util::Json ExploreResponse::to_json() const {
   util::Json root = core::to_json(result);
-  root["model"] = model_label;
-  root["arch"] = arch_label;
-  root["sampler"] = sampler_name;
-  // The distinct-point count of a random sample (satellite of the
-  // redraw-on-duplicate sampler fix); other samplers draw no duplicates
-  // by construction and omit the field.
-  if (report_distinct) root["distinct"] = distinct;
-  if (!aggregate_label.empty()) root["aggregate"] = aggregate_label;
-  // Non-canned specs only: legacy sweeps never carried the field.
-  if (!objective.empty()) root["objective"] = objective;
-  root["total_points"] = total_points;
-  if (shard.count > 1) {
-    util::Json shard_json;
-    shard_json["index"] = shard.index;
-    shard_json["count"] = shard.count;
-    root["shard"] = std::move(shard_json);
-  }
-  // Strategy section only for strategy-driven sweeps: one-shot documents
-  // stay byte-identical to pre-strategy responses.
-  if (strategy_name != "one-shot") {
-    util::Json strategy_json;
-    strategy_json["name"] = strategy_name;
-    if (eta > 0) strategy_json["eta"] = eta;
-    if (rungs > 0) strategy_json["rungs"] = rungs;
-    if (refine_rounds > 0) strategy_json["refine_rounds"] = refine_rounds;
+  add_header_fields(root, header);
+  if (!header.strategy.empty()) {
     util::Json stats{util::Json::Array{}};
     for (const RungStats& r : rung_stats) {
       util::Json rj;
@@ -638,8 +605,7 @@ util::Json ExploreResponse::to_json() const {
       rj["evaluated"] = r.evaluated;
       stats.push_back(std::move(rj));
     }
-    strategy_json["rung_stats"] = std::move(stats);
-    root["strategy"] = std::move(strategy_json);
+    root["strategy"]["rung_stats"] = std::move(stats);
   }
   if (cache_attached) root["cost_cache"] = cache_stats_to_json(cache);
   return root;
@@ -756,7 +722,7 @@ ExploreResponse Engine::evaluate_explore(const ExploreRequest& request,
     throw std::invalid_argument("--aggregate expects sum|max|weighted, "
                                 "got '" + request.base.aggregate + "'");
   }
-  ResolvedModels resolved = resolve_models(request.base);
+  const ResolvedModels resolved = resolve_models(request.base);
   const std::unique_ptr<Mapper> mapper = make_mapper(request.base);
   const std::unique_ptr<DseSampler> sampler = make_sampler(request);
   const std::unique_ptr<ExploreStrategy> strategy = make_strategy(request);
@@ -789,43 +755,14 @@ ExploreResponse Engine::evaluate_explore(const ExploreRequest& request,
                       mapper->needs_costs();
   if (attach) options.cost_cache = &cache_;
 
-  const size_t total_points =
-      sampler != nullptr ? static_cast<size_t>(request.samples)
-                         : space.size();
-
-  const CostMatrixCache::Stats before = cache_.stats();
   ExploreResponse response;
+  response.header = explore_header(request, resolved, templates);
+  const CostMatrixCache::Stats before = cache_.stats();
   response.result =
       core::explore(templates, lib_, resolved.workloads, space, options);
-  response.arch_label = arch_label(request.base);
-  response.model_label = std::move(resolved.label);
-  response.sampler_name = sampler != nullptr ? request.sample : "grid";
-  response.aggregate_label =
-      resolved.workloads.size() > 1 ? to_string(*aggregate) : "";
-  response.objective =
-      objective.canned_objective() ? "" : objective.text();
-  response.total_points = total_points;
-  response.shard = request.shard;
   response.cache_attached = attach;
   if (attach) response.cache = stats_delta(before, cache_.stats());
-  response.strategy_name = request.strategy;
-  if (strategy != nullptr) {
-    response.rung_stats = strategy->rung_stats();
-    if (request.strategy == "halving") {
-      response.eta = request.eta;
-      response.rungs = request.rungs;
-    }
-    if (request.strategy == "frontier") {
-      response.refine_rounds = request.refine_rounds;
-    }
-  }
-  if (sampler != nullptr && request.sample == "random") {
-    // Distinct-point accounting for the redrawing random sampler (the
-    // same cheap deterministic re-sample explore_metadata() stamps into
-    // shard headers, so --merge reproduces this field).
-    response.distinct = random_sample_distinct(request);
-    response.report_distinct = true;
-  }
+  if (strategy != nullptr) response.rung_stats = strategy->rung_stats();
   return response;
 }
 
@@ -856,11 +793,7 @@ std::shared_ptr<const Simulator> Engine::simulator_for(
   // and the first insert wins.
   const std::vector<arch::PtcTemplate> templates =
       resolve_templates(request);
-  std::string label = templates.front().name;
-  for (size_t t = 1; t < templates.size(); ++t) {
-    label += "+" + templates[t].name;
-  }
-  arch::Architecture system(label);
+  arch::Architecture system(arch_label(templates));
   for (const arch::PtcTemplate& ptc : templates) {
     system.add_subarch(arch::SubArchitecture(ptc, request.params, lib_));
   }

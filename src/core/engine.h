@@ -154,32 +154,16 @@ struct SimulateResponse {
 /// counters prove the warm serve (>= 90% hits for a repeated request).
 struct ExploreResponse {
   DseResult result;
-  std::string arch_label;
-  std::string model_label;
-  std::string sampler_name;
-  std::string aggregate_label;  // empty for single-model sweeps
-  /// Non-canned objective spec text (ObjectiveSpec::text), surfaced as
-  /// the document's "objective" field; empty (every canned spec) omits
-  /// the field, keeping legacy documents byte-identical.
-  std::string objective;
-  size_t total_points = 0;
-  DseShard shard;
+  /// What the sweep was (explore_header of the request); rendered by
+  /// add_header_fields, so the document's metadata is byte-for-byte what
+  /// --merge re-emits.
+  ExploreHeader header;
   CostMatrixCache::Stats cache;  // per-request delta (see above)
   bool cache_attached = false;
-  /// Strategy identity + per-rung evaluation accounting.  "one-shot"
-  /// (with empty rung_stats) omits the whole "strategy" section from
-  /// to_json(), keeping one-shot documents byte-identical to pre-strategy
-  /// responses.
-  std::string strategy_name = "one-shot";
-  int eta = 0;            // halving only; 0 omits the field
-  int rungs = 0;          // halving only; 0 omits the field
-  int refine_rounds = 0;  // frontier only; 0 omits the field
+  /// Per-rung evaluation accounting of a strategy-driven sweep, rendered
+  /// as "strategy.rung_stats" (one-shot sweeps have no "strategy"
+  /// section at all).
   std::vector<RungStats> rung_stats;
-  /// Random-sampler sweeps report how many of the drawn points were
-  /// distinct (the redraw-on-duplicate sampler makes this == samples on
-  /// all but tiny spaces); other samplers omit the "distinct" field.
-  size_t distinct = 0;
-  bool report_distinct = false;
 
   [[nodiscard]] util::Json to_json() const;
 };
@@ -195,6 +179,8 @@ struct ExploreResponse {
     const SimulateRequest& request);
 
 /// Template names joined with "+" (the "arch" label of every document).
+[[nodiscard]] std::string arch_label(
+    const std::vector<arch::PtcTemplate>& templates);
 [[nodiscard]] std::string arch_label(const SimulateRequest& request);
 
 struct ResolvedModels {
@@ -234,10 +220,13 @@ struct ResolvedModels {
 [[nodiscard]] std::vector<arch::ArchParams> resolve_points(
     const ExploreRequest& request);
 
-/// Shard-document metadata of an explore request (what DseShardWriter
-/// stamps into --out files and --resume matches against).
-[[nodiscard]] DseShardWriter::Metadata explore_metadata(
-    const ExploreRequest& request);
+/// The header of an explore request's documents (--json, --out,
+/// --merge; --resume compares against it), built from the request's
+/// already-resolved models and templates.  Throws the CLI's diagnostics
+/// on an invalid sampler, strategy, aggregate or objective.
+[[nodiscard]] ExploreHeader explore_header(
+    const ExploreRequest& request, const ResolvedModels& models,
+    const std::vector<arch::PtcTemplate>& templates);
 
 /// The long-lived service facade.  Thread-safe: simulate()/explore()/
 /// submit() may be called concurrently from any thread (the server's

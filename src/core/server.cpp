@@ -197,6 +197,7 @@ bool Server::handle_connection(util::InputStream& in,
 void Server::serve() {
   struct Connection {
     std::thread thread;
+    std::shared_ptr<util::Socket> socket;
     std::shared_ptr<std::atomic<bool>> done;
   };
   std::vector<Connection> connections;
@@ -227,6 +228,7 @@ void Server::serve() {
     auto socket = std::make_shared<util::Socket>(std::move(*accepted));
     auto done = std::make_shared<std::atomic<bool>>(false);
     Connection connection;
+    connection.socket = socket;
     connection.done = done;
     connection.thread = std::thread([this, socket, done] {
       try {
@@ -241,9 +243,14 @@ void Server::serve() {
     connections.push_back(std::move(connection));
   }
 
-  // Wind-down: finish serving the connections already accepted, then
+  // Wind-down: stop reading from the connections already accepted — an
+  // idle peer would otherwise block its thread, and this join, until it
+  // hangs up — while every request already read is still answered.  Then
   // drain the engine so every admitted evaluation lands (and the cache
   // holds its results) before the caller persists state.
+  for (Connection& connection : connections) {
+    connection.socket->shutdown_read();
+  }
   reap(/*all=*/true);
   engine_->drain();
 }

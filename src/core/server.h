@@ -76,8 +76,10 @@ class Server {
   }
 
   /// Accept loop: blocks until request_stop(), a client "shutdown", or
-  /// Options::should_stop.  Joins all connection threads, then drains
-  /// the engine before returning — after serve(), no evaluation is in
+  /// Options::should_stop.  Then stops reading from every connection
+  /// (requests already read are still answered; idle peers cannot hold
+  /// the server open), joins all connection threads, and drains the
+  /// engine before returning — after serve(), no evaluation is in
   /// flight.
   void serve();
 

@@ -158,6 +158,7 @@ SuccessiveHalvingStrategy::next_batch() {
     // uninterrupted run exactly.
     if (final_rung && context_.skipped(candidate.index)) continue;
     candidate.fidelity = fidelity;
+    candidate.rung = rung_;
     batch.push_back(std::move(candidate));
   }
   rung_stats_.push_back(RungStats{rung_, fidelity, batch.size(), 0});
@@ -175,7 +176,6 @@ void SuccessiveHalvingStrategy::consume(
   rung_stats_.back().evaluated = fresh_evaluations;
   if (rung_ == rungs_ - 1) {
     results_ = evaluated;
-    for (DsePoint& point : results_) point.rung = rung_;
     done_ = true;
     return;
   }
@@ -272,7 +272,8 @@ FrontierRefineStrategy::neighbors_of_frontier() {
   auto propose = [&](arch::ArchParams params) {
     if (!seen_.insert(params).second) return;
     batch.push_back(
-        Candidate{next_index_++, std::move(params), FidelityLevel::kFull});
+        Candidate{next_index_++, std::move(params), FidelityLevel::kFull,
+                  round_});
   };
   // Step one swept axis to its adjacent value list entries, reproducing
   // the axis coupling of grid enumeration (a core_sizes step drives
@@ -332,9 +333,10 @@ FrontierRefineStrategy::next_batch() {
   std::vector<Candidate> batch;
   if (round_ == 0) {
     batch.reserve(context_.slice.size());
-    for (const Candidate& candidate : context_.slice) {
+    for (Candidate candidate : context_.slice) {
       if (context_.skipped(candidate.index)) continue;
-      batch.push_back(candidate);
+      candidate.rung = 0;
+      batch.push_back(std::move(candidate));
     }
   } else if (round_ <= refine_rounds_) {
     batch = neighbors_of_frontier();
@@ -353,10 +355,7 @@ void FrontierRefineStrategy::consume(const std::vector<DsePoint>& evaluated,
                                      size_t fresh_evaluations) {
   awaiting_consume_ = false;
   rung_stats_.back().evaluated = fresh_evaluations;
-  for (DsePoint point : evaluated) {
-    point.rung = round_;
-    results_.push_back(std::move(point));
-  }
+  results_.insert(results_.end(), evaluated.begin(), evaluated.end());
   ++round_;
   if (round_ > refine_rounds_) done_ = true;
 }

@@ -48,11 +48,15 @@ struct RungStats {
 class ExploreStrategy {
  public:
   /// One proposed evaluation: a canonical point index, its parameters,
-  /// and the fidelity to cost it at.
+  /// the fidelity to cost it at, and the rung it belongs to.  The engine
+  /// stamps index and rung onto the evaluated point before any progress
+  /// observer sees it, so streamed points carry their provenance; -1
+  /// (one-shot) leaves DsePoint::rung unset.
   struct Candidate {
     size_t index = 0;
     arch::ArchParams params;
     FidelityLevel fidelity = FidelityLevel::kFull;
+    int rung = -1;
   };
 
   /// What the engine hands begin(): this shard's slice of the canonical
@@ -182,9 +186,10 @@ class SuccessiveHalvingStrategy final : public ExploreStrategy {
 /// proposes the axis-neighbors of every current frontier point — the
 /// adjacent values of each swept DseSpace axis, deduplicated against
 /// everything seen — as new candidates with canonical indices starting
-/// at total_points.  All rounds run at kFull; refined points carry
-/// their round in DsePoint::rung.  Designed for sampled sweeps (random /
-/// LHS), where the frontier's grid neighborhood was likely never drawn;
+/// at total_points.  All rounds run at kFull; every point carries its
+/// round (0 for the base pass) in DsePoint::rung.  Designed for sampled
+/// sweeps (random / LHS), where the frontier's grid neighborhood was
+/// likely never drawn;
 /// incompatible with sharding and --resume (the engine's caller rejects
 /// both — refined indices fall outside the canonical point list).
 class FrontierRefineStrategy final : public ExploreStrategy {

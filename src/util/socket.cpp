@@ -177,6 +177,8 @@ void Socket::write(const void* data, size_t size) {
 
 void Socket::shutdown_write() { ::shutdown(fd_, SHUT_WR); }
 
+void Socket::shutdown_read() { ::shutdown(fd_, SHUT_RD); }
+
 // --------------------------------------------------------- ServerSocket
 
 ServerSocket::ServerSocket(const SocketAddress& address, int backlog)

@@ -66,6 +66,10 @@ class Socket final : public InputStream, public OutputStream {
   /// keeps draining responses.
   void shutdown_write();
 
+  /// Half-close of the read side: a read() blocked on this socket, and
+  /// every later one, returns 0 as at peer close; writes keep working.
+  void shutdown_read();
+
   [[nodiscard]] int fd() const { return fd_; }
   /// Human-readable peer label for diagnostics ("unix:/tmp/x.sock",
   /// "tcp:127.0.0.1:4000"); may be empty for adopted fds.

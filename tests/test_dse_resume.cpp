@@ -31,8 +31,8 @@ DseSpace small_space() {
   return space;
 }
 
-DseShardWriter::Metadata metadata_for(size_t total_points) {
-  DseShardWriter::Metadata meta;
+ExploreHeader header_for(size_t total_points) {
+  ExploreHeader meta;
   meta.arch = "tempo";
   meta.model = "MLP(MNIST)";
   meta.sampler = "grid";
@@ -56,7 +56,7 @@ StreamedShard run_streamed_shard() {
 
   StreamedShard out;
   std::stringstream stream;
-  DseShardWriter writer(stream, metadata_for(space.size()));
+  DseShardWriter writer(stream, header_for(space.size()));
   out.snapshots.push_back(stream.str());
   DseOptions options;
   options.num_threads = 1;  // completion order == canonical order
@@ -90,12 +90,12 @@ TEST(DseResume, CompleteDocumentRecoversFully) {
   EXPECT_TRUE(recovery.complete);
   EXPECT_EQ(recovery.truncated_at, 0u);
   EXPECT_TRUE(recovery.message.empty());
-  EXPECT_EQ(recovery.metadata.arch, "tempo");
-  EXPECT_EQ(recovery.metadata.model, "MLP(MNIST)");
-  EXPECT_EQ(recovery.metadata.sampler, "grid");
-  EXPECT_EQ(recovery.metadata.shard.count, 1);
-  EXPECT_EQ(recovery.metadata.shard.index, 0);
-  EXPECT_EQ(recovery.metadata.total_points, 4u);
+  EXPECT_EQ(recovery.header.arch, "tempo");
+  EXPECT_EQ(recovery.header.model, "MLP(MNIST)");
+  EXPECT_EQ(recovery.header.sampler, "grid");
+  EXPECT_EQ(recovery.header.shard.count, 1);
+  EXPECT_EQ(recovery.header.shard.index, 0);
+  EXPECT_EQ(recovery.header.total_points, 4u);
   ASSERT_EQ(recovery.result.points.size(), shard.result.points.size());
   for (size_t i = 0; i < shard.result.points.size(); ++i) {
     expect_points_equal(recovery.result.points[i], shard.result.points[i],
@@ -131,8 +131,9 @@ TEST(DseResume, EveryTruncationOffsetRecoversTheMaximalPointPrefix) {
 
     ShardRecovery recovery;
     ASSERT_NO_THROW(recovery = recover_shard_text(torn)) << "cut=" << cut;
-    EXPECT_EQ(recovery.metadata.arch, "tempo") << "cut=" << cut;
-    EXPECT_EQ(recovery.metadata.total_points, 4u) << "cut=" << cut;
+    EXPECT_TRUE(recovery.header == header_for(4))
+        << "cut=" << cut << ": "
+        << header_mismatch(recovery.header, header_for(4));
 
     // Bit-identical prefix, nothing invented.
     ASSERT_LE(recovery.result.points.size(), shard.result.points.size())
@@ -152,6 +153,78 @@ TEST(DseResume, EveryTruncationOffsetRecoversTheMaximalPointPrefix) {
     if (!recovery.complete) {
       EXPECT_FALSE(recovery.message.empty()) << "cut=" << cut;
     }
+  }
+}
+
+// One header, three renderings: the streamed writer's header lines and
+// the --json document's fields both parse back to an equal struct, for
+// every optional field.
+TEST(DseResume, HeaderRoundTripsThroughTheWriterAndTheJsonDocument) {
+  ExploreHeader halving = header_for(12);
+  halving.sampler = "random";
+  halving.distinct = 11;
+  halving.report_distinct = true;
+  halving.aggregate = "weighted";
+  halving.objective = "0.6*edp+0.4*area";
+  halving.strategy = "halving";
+  halving.eta = 3;
+  halving.rungs = 2;
+  halving.shard = DseShard{1, 3};
+  ExploreHeader frontier = header_for(9);
+  frontier.sampler = "lhs";
+  frontier.strategy = "frontier";
+  frontier.refine_rounds = 2;
+
+  for (const ExploreHeader& header : {header_for(4), halving, frontier}) {
+    std::stringstream stream;
+    { DseShardWriter writer(stream, header); }
+    const ShardRecovery recovery = recover_shard_text(stream.str());
+    EXPECT_TRUE(recovery.complete);
+    EXPECT_TRUE(recovery.header == header)
+        << header_mismatch(recovery.header, header);
+
+    util::Json root;
+    add_header_fields(root, header);
+    const ExploreHeader parsed =
+        explore_header_from_json(util::Json::parse(root.dump(2)));
+    EXPECT_TRUE(parsed == header) << header_mismatch(parsed, header);
+  }
+}
+
+// What --merge accepts besides shard files: a --json document (no
+// "shard" object, rung_stats under "strategy") and a document without
+// "total_points".
+TEST(DseResume, HeaderParserAcceptsJsonDocuments) {
+  const ExploreHeader parsed = explore_header_from_json(util::Json::parse(
+      R"({"arch": "tempo", "model": "m",
+          "strategy": {"name": "halving", "eta": 2, "rungs": 3,
+                       "rung_stats": [{"rung": 0}]},
+          "points": []})"));
+  ExploreHeader expected;
+  expected.arch = "tempo";
+  expected.model = "m";
+  expected.strategy = "halving";
+  expected.eta = 2;
+  expected.rungs = 3;
+  EXPECT_TRUE(parsed == expected) << header_mismatch(parsed, expected);
+  EXPECT_EQ(parsed.shard, DseShard{});
+  EXPECT_EQ(parsed.total_points, 0u);
+}
+
+TEST(DseResume, HeaderMismatchNamesEveryDifferingField) {
+  const ExploreHeader a = header_for(4);
+  EXPECT_EQ(header_mismatch(a, a), "");
+  ExploreHeader b = a;
+  b.aggregate = "max";
+  b.strategy = "halving";
+  b.eta = 3;
+  b.shard = DseShard{1, 2};
+  const std::string text = header_mismatch(a, b);
+  for (const char* field : {"aggregate", "strategy", "eta", "shard"}) {
+    EXPECT_NE(text.find(field), std::string::npos) << field << ": " << text;
+  }
+  for (const char* same : {"arch", "model", "sampler", "total_points"}) {
+    EXPECT_EQ(text.find(same), std::string::npos) << same << ": " << text;
   }
 }
 
@@ -228,9 +301,9 @@ struct CliResult {
   std::string output;  // stdout + stderr
 };
 
-CliResult run_cli(const std::string& args) {
-  const std::string command =
-      std::string(SIMPHONY_CLI_PATH) + " " + args + " 2>&1";
+CliResult run_cli(const std::string& args, bool with_stderr = true) {
+  const std::string command = std::string(SIMPHONY_CLI_PATH) + " " + args +
+                              (with_stderr ? " 2>&1" : " 2>/dev/null");
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) throw std::runtime_error("popen failed");
   CliResult result;
@@ -343,6 +416,64 @@ TEST(CliResume, ResumedHalvingSweepIsByteIdenticalToUninterrupted) {
   std::remove(full_path.c_str());
   std::remove(resumed_path.c_str());
   std::remove((resumed_path + ".tmp").c_str());
+}
+
+TEST(CliResume, AggregateMismatchNamesTheAggregate) {
+  const std::string path = ::testing::TempDir() + "resume_aggregate.json";
+  std::remove(path.c_str());
+  const std::string args =
+      std::string(kSweepArgs) + " --model gemm:32x16x32 --out " + path;
+  ASSERT_EQ(run_cli(args).exit_code, 0);
+  const CliResult mismatched = run_cli(args + " --aggregate max --resume");
+  EXPECT_EQ(mismatched.exit_code, 1);
+  EXPECT_NE(mismatched.output.find("metadata mismatch"), std::string::npos)
+      << mismatched.output;
+  EXPECT_NE(mismatched.output.find("aggregate \"sum\" vs \"max\""),
+            std::string::npos)
+      << mismatched.output;
+  std::remove(path.c_str());
+}
+
+// --out, --json and --merge agree: merging an unsharded --out file gives
+// the sweep's --json document minus its per-run accounting (cost_cache
+// and strategy.rung_stats), for every strategy and sampler.
+TEST(CliMerge, UnshardedOutMergesToTheJsonDocument) {
+  const std::string dir = ::testing::TempDir();
+  const std::string out_path = dir + "merge_out.json";
+  const std::string merged_path = dir + "merge_merged.json";
+  for (const std::string strategy :
+       {"", " --strategy halving --eta 2", " --strategy frontier"
+                                           " --refine-rounds 2"}) {
+    for (const std::string sampler :
+         {"", " --sample random --samples 3 --seed 5"}) {
+      const std::string args = std::string(kSweepArgs) + strategy + sampler;
+      SCOPED_TRACE(args);
+      std::remove(out_path.c_str());
+      ASSERT_EQ(run_cli(args + " --out " + out_path).exit_code, 0);
+      const CliResult json = run_cli(args + " --json", false);
+      ASSERT_EQ(json.exit_code, 0);
+      ASSERT_EQ(run_cli("--merge " + out_path + " --out " + merged_path)
+                    .exit_code,
+                0);
+
+      const util::Json document = util::Json::parse(json.output);
+      util::Json expected{util::Json::Object{}};
+      for (const auto& [key, value] : document.as_object()) {
+        if (key == "cost_cache") continue;
+        util::Json field = value;
+        if (key == "strategy") {
+          field = util::Json{util::Json::Object{}};
+          for (const auto& [knob, setting] : value.as_object()) {
+            if (knob != "rung_stats") field[knob] = setting;
+          }
+        }
+        expected[key] = std::move(field);
+      }
+      EXPECT_EQ(read_file(merged_path), expected.dump(2) + "\n");
+    }
+  }
+  std::remove(out_path.c_str());
+  std::remove(merged_path.c_str());
 }
 
 TEST(CliResume, FrontierStrategyRejectsResume) {

@@ -39,9 +39,9 @@ DseSpace small_space() {
   return space;
 }
 
-DseShardWriter::Metadata metadata_for(const DseShard& shard,
+ExploreHeader header_for(const DseShard& shard,
                                       size_t total_points) {
-  DseShardWriter::Metadata meta;
+  ExploreHeader meta;
   meta.arch = "tempo";
   meta.model = "MLP(MNIST)";
   meta.sampler = "grid";
@@ -66,7 +66,7 @@ StreamedShard run_streamed_shard(const DseShard& shard) {
 
   StreamedShard out;
   std::stringstream stream;
-  DseShardWriter writer(stream, metadata_for(shard, space.size()));
+  DseShardWriter writer(stream, header_for(shard, space.size()));
   out.snapshots.push_back(stream.str());  // header only, zero points
   DseOptions options;
   options.num_threads = 1;  // completion order == canonical order
@@ -92,9 +92,9 @@ TEST(DseStream, EveryFlushedStateIsACompleteParseableDocument) {
     util::Json root;
     ASSERT_NO_THROW(root = util::Json::parse(shard.snapshots[k]))
         << "snapshot after " << k << " points";
-    EXPECT_EQ(root.at("arch").as_string(), "tempo");
-    EXPECT_EQ(root.at("model").as_string(), "MLP(MNIST)");
-    EXPECT_EQ(root.at("total_points").as_number(), 4.0);
+    EXPECT_TRUE(explore_header_from_json(root) ==
+                header_for(DseShard{0, 1}, 4))
+        << "snapshot after " << k << " points";
     const DseResult parsed = dse_result_from_json(root);
     ASSERT_EQ(parsed.points.size(), k);
     for (size_t i = 0; i < k; ++i) {
@@ -113,7 +113,7 @@ TEST(DseStream, EveryFlushedStateIsACompleteParseableDocument) {
 
 TEST(DseStream, EmptyShardIsParseableFromConstruction) {
   std::stringstream stream;
-  DseShardWriter writer(stream, metadata_for(DseShard{0, 1}, 0));
+  DseShardWriter writer(stream, header_for(DseShard{0, 1}, 0));
   // No finish() needed: the constructor already flushed a complete
   // zero-point document.
   util::Json root;
@@ -212,8 +212,8 @@ TEST(DseStream, FinishCommitsPointsInCanonicalOrder) {
   };
   std::stringstream stream;
   {
-    DseShardWriter to_stream(stream, metadata_for(DseShard{0, 1}, 3));
-    DseShardWriter to_file(path, metadata_for(DseShard{0, 1}, 3));
+    DseShardWriter to_stream(stream, header_for(DseShard{0, 1}, 3));
+    DseShardWriter to_file(path, header_for(DseShard{0, 1}, 3));
     for (size_t index : {2, 0, 1}) {
       DsePoint point;
       point.index = index;
@@ -234,7 +234,7 @@ TEST(DseStream, FinishCommitsPointsInCanonicalOrder) {
 
 TEST(DseStream, AddPointAfterFinishThrows) {
   std::stringstream stream;
-  DseShardWriter writer(stream, metadata_for(DseShard{0, 1}, 1));
+  DseShardWriter writer(stream, header_for(DseShard{0, 1}, 1));
   writer.finish();
   EXPECT_THROW(writer.add_point(DsePoint{}), std::logic_error);
 }

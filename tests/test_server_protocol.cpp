@@ -11,6 +11,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <future>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -314,6 +315,35 @@ TEST(ServerSocketServe, ServesOverTcpAndDrainsOnClientShutdown) {
 
   serving.join();  // the shutdown op winds the accept loop down
   EXPECT_EQ(engine.pending(), 0u);
+}
+
+// A connected peer that sends nothing more must not keep a stopping
+// server alive: request_stop() returns serve() within a bound, and the
+// server closes its end of the idle connection.
+TEST(ServerSocketServe, StopReleasesAnIdleConnectedPeer) {
+  Engine engine;
+  Server server(engine, loopback());
+  std::promise<void> served;
+  std::future<void> stopped = served.get_future();
+  std::thread serving([&] {
+    server.serve();
+    served.set_value();
+  });
+
+  util::Socket client = util::Socket::connect(server.address());
+  util::LineChannel channel(client, client);
+  channel.write_line("{\"op\": \"ping\", \"id\": 1}");
+  std::string line;
+  EXPECT_TRUE(channel.read_line(&line));  // accepted and served; now idle
+  EXPECT_EQ(status_of(util::Json::parse(line)), "ok");
+
+  server.request_stop();
+  const bool exited = stopped.wait_for(std::chrono::seconds(5)) ==
+                      std::future_status::ready;
+  if (!exited) client.shutdown_write();  // unblock serve() to end the test
+  serving.join();
+  EXPECT_TRUE(exited) << "serve() still running 5 s after request_stop()";
+  EXPECT_FALSE(channel.read_line(&line));  // the server hung up
 }
 
 TEST(ServerSocketServe, CoalescesConcurrentIdenticalRequests) {

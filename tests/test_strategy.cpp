@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -190,7 +191,7 @@ TEST(Strategy, HalvingProgressCarriesOnlyFullFidelityPoints) {
     size_t low_calls = 0;
     size_t last = 0;
     size_t last_total = 0;
-    std::set<size_t> streamed;
+    std::map<size_t, int> streamed;  // index -> rung as streamed
     options.on_progress = [&](const Progress& p) {
       std::lock_guard<std::mutex> lock(mutex);
       EXPECT_GT(p.completed, last);
@@ -199,7 +200,7 @@ TEST(Strategy, HalvingProgressCarriesOnlyFullFidelityPoints) {
       if (p.point == nullptr) {
         ++low_calls;
       } else {
-        streamed.insert(p.point->index);
+        streamed[p.point->index] = p.point->rung;
       }
     };
     const DseResult result =
@@ -219,9 +220,14 @@ TEST(Strategy, HalvingProgressCarriesOnlyFullFidelityPoints) {
     EXPECT_EQ(low_calls, low_candidates);
     EXPECT_EQ(last, candidates);
     EXPECT_EQ(last_total, candidates);
-    std::set<size_t> result_indices;
-    for (const DsePoint& pt : result.points) result_indices.insert(pt.index);
-    EXPECT_EQ(streamed, result_indices);
+    // Streamed points already carry their rung (the final one), exactly
+    // as the result does.
+    std::map<size_t, int> result_rungs;
+    for (const DsePoint& pt : result.points) {
+      EXPECT_EQ(pt.rung, halving.rungs() - 1) << pt.index;
+      result_rungs[pt.index] = pt.rung;
+    }
+    EXPECT_EQ(streamed, result_rungs);
   }
 }
 
@@ -343,6 +349,8 @@ TEST(Strategy, FrontierRefinementAppendsNeighborsBeyondTheSampledList) {
   const GreedyMapper greedy;
   const RandomSampler sampler(5, 42);
 
+  std::mutex mutex;
+  std::map<size_t, int> streamed;  // index -> rung as streamed
   auto run = [&]() {
     FrontierRefineStrategy frontier(space);
     DseOptions options;
@@ -350,12 +358,17 @@ TEST(Strategy, FrontierRefinementAppendsNeighborsBeyondTheSampledList) {
     options.mapper = &greedy;
     options.sampler = &sampler;
     options.strategy = &frontier;
+    options.on_progress = [&](const Progress& p) {
+      std::lock_guard<std::mutex> lock(mutex);
+      streamed[p.point->index] = p.point->rung;
+    };
     return explore({arch::tempo_template()}, g_lib, model, space, options);
   };
   const DseResult first = run();
   EXPECT_GT(first.points.size(), 5u);  // base pass + refined neighbors
   size_t refined = 0;
   for (const DsePoint& pt : first.points) {
+    EXPECT_EQ(streamed.at(pt.index), pt.rung) << pt.index;
     if (pt.index >= 5u) {
       ++refined;
       EXPECT_EQ(pt.rung, 1) << pt.index;  // refine round 1
