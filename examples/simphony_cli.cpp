@@ -562,13 +562,16 @@ int run_dse(core::Engine& engine, const core::ExploreRequest& request,
                    util::Table::fmt(pt.area_mm2, 3), pt.pareto ? "*" : ""});
   }
   std::cout << table.render();
-  const core::DsePoint& best = result.best_edap();
-  std::cout << result.frontier().size()
-            << " Pareto-optimal point(s); best EDAP at R=" << best.params.tiles
-            << " C=" << best.params.cores_per_tile << " "
-            << best.params.core_height << "x" << best.params.core_width
-            << " L=" << best.params.wavelengths << " bits="
-            << bits_label(best.params) << "\n";
+  std::cout << result.frontier().size() << " Pareto-optimal point(s)";
+  if (!result.points.empty()) {  // an empty shard slice has no best point
+    const core::DsePoint& best = result.best_edap();
+    std::cout << "; best EDAP at R=" << best.params.tiles
+              << " C=" << best.params.cores_per_tile << " "
+              << best.params.core_height << "x" << best.params.core_width
+              << " L=" << best.params.wavelengths << " bits="
+              << bits_label(best.params);
+  }
+  std::cout << "\n";
   if (response.cache_attached) {
     std::cout << "cost-matrix cache: " << response.cache.hits << " hit(s) / "
               << response.cache.misses << " miss(es) ("

@@ -7,9 +7,9 @@
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <ostream>
 #include <set>
 #include <stdexcept>
@@ -444,147 +444,83 @@ MetricVector DsePoint::metrics() const {
   return v;
 }
 
-void mark_pareto_frontier(std::vector<DsePoint>& points) {
-  // Non-finite metrics are never on the frontier and do not enter the
-  // sort below: NaN (e.g. parsed back from a shard file's null) breaks
-  // the comparator's strict weak ordering (undefined behavior in
-  // std::sort), and inf must get the same verdict as NaN because
-  // serialization collapses both to null — otherwise a merged shard
-  // file could disagree with the unsharded in-memory run.
-  std::vector<size_t> order;
-  order.reserve(points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    DsePoint& p = points[i];
-    if (!std::isfinite(p.energy_pJ) || !std::isfinite(p.latency_ns) ||
-        !std::isfinite(p.area_mm2)) {
-      p.pareto = false;
-    } else {
-      order.push_back(i);
-    }
-  }
-  const size_t n = order.size();
-  if (n == 0) return;
-
-  // Sort indices lexicographically by (energy, latency, area) ascending.
-  // Every point processed before p then has energy <= p's, so p is
-  // dominated iff an earlier point with a *different* objective triple has
-  // latency <= p's and area <= p's (lexicographic order makes at least one
-  // inequality strict).
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const DsePoint& pa = points[a];
-    const DsePoint& pb = points[b];
-    if (pa.energy_pJ != pb.energy_pJ) return pa.energy_pJ < pb.energy_pJ;
-    if (pa.latency_ns != pb.latency_ns) return pa.latency_ns < pb.latency_ns;
-    return pa.area_mm2 < pb.area_mm2;
-  });
-
-  // Staircase of processed non-dominated points: latency -> area, strictly
-  // increasing latency mapped to strictly decreasing area, so the entry
-  // with the largest latency <= L holds the minimum area over all
-  // processed points with latency <= L.
-  std::map<double, double> staircase;
-  size_t i = 0;
-  while (i < n) {
-    const DsePoint& p = points[order[i]];
-    // Points with identical objective triples never dominate each other:
-    // process them as one group so each copy gets the same verdict.
-    size_t j = i;
-    while (j < n) {
-      const DsePoint& q = points[order[j]];
-      if (q.energy_pJ != p.energy_pJ || q.latency_ns != p.latency_ns ||
-          q.area_mm2 != p.area_mm2) {
-        break;
-      }
-      ++j;
-    }
-
-    bool dominated = false;
-    auto it = staircase.upper_bound(p.latency_ns);
-    if (it != staircase.begin() &&
-        std::prev(it)->second <= p.area_mm2) {
-      dominated = true;
-    }
-    for (size_t k = i; k < j; ++k) points[order[k]].pareto = !dominated;
-
-    if (!dominated) {
-      // Entries this point covers (latency >= and area >=) add nothing for
-      // later queries; drop them to keep the staircase monotone.
-      auto at = staircase.lower_bound(p.latency_ns);
-      while (at != staircase.end() && at->second >= p.area_mm2) {
-        at = staircase.erase(at);
-      }
-      staircase.emplace(p.latency_ns, p.area_mm2);
-    }
-    i = j;
-  }
-}
-
 void mark_pareto_frontier(std::vector<DsePoint>& points,
                           const std::vector<Metric>& axes) {
   if (axes.empty()) {
     throw std::invalid_argument("mark_pareto_frontier: empty axis list");
   }
-  // The legacy triple takes the O(n log n) staircase above — its verdicts
-  // (and therefore every legacy document) stay byte-identical.
-  static const std::vector<Metric> kLegacyAxes = {Metric::kEnergy,
-                                                  Metric::kLatency,
-                                                  Metric::kArea};
-  if (axes == kLegacyAxes) {
-    mark_pareto_frontier(points);
-    return;
-  }
-
-  // General axis lists run a quadratic dominance check; sweeps that need
-  // them reference extra metrics (power, p99) and are far from the sizes
-  // where the staircase's asymptotics matter.  Non-finite on any axis
-  // excludes a point outright, matching the legacy rule slot-wise.
-  std::vector<size_t> order;
-  order.reserve(points.size());
+  const size_t k = axes.size();
+  // Points with a non-finite value on any axis are never on the frontier
+  // and do not enter the sort below: NaN (e.g. parsed back from a shard
+  // file's null) breaks the comparator's strict weak ordering (undefined
+  // behavior in std::sort), and inf must get the same verdict as NaN
+  // because serialization collapses both to null — otherwise a merged
+  // shard file could disagree with the unsharded in-memory run.
+  std::vector<size_t> ids;     // point index of each finite candidate
+  std::vector<double> values;  // candidate-major axis tuples, k per row
+  ids.reserve(points.size());
+  values.reserve(points.size() * k);
   for (size_t i = 0; i < points.size(); ++i) {
     DsePoint& p = points[i];
+    p.pareto = false;
     bool finite = true;
     for (Metric axis : axes) {
-      if (!std::isfinite(p.metric(axis))) {
-        finite = false;
-        break;
+      const double v = p.metric(axis);
+      finite = finite && std::isfinite(v);
+      values.push_back(v);
+    }
+    if (finite) {
+      ids.push_back(i);
+    } else {
+      values.resize(values.size() - k);
+    }
+  }
+  const auto tuple = [&](size_t c) { return values.data() + c * k; };
+
+  // Every dominator of a point is lexicographically smaller, so it sorts
+  // earlier; dominance is transitive, so a point is on the frontier iff
+  // no already-kept point dominates it.  The sort keys carry the first
+  // axis inline and read the others only to break ties on it.
+  std::vector<std::pair<double, size_t>> order;
+  order.reserve(ids.size());
+  for (size_t c = 0; c < ids.size(); ++c) order.emplace_back(*tuple(c), c);
+  std::sort(order.begin(), order.end(), [&](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return std::lexicographical_compare(tuple(a.second) + 1,
+                                        tuple(a.second) + k,
+                                        tuple(b.second) + 1,
+                                        tuple(b.second) + k);
+  });
+  // A kept q sorts before p, so q[0] <= p[0] holds already, and q
+  // dominates a distinct p iff q <= p on the remaining (tail) axes: only
+  // those are stored and compared.  Identical tuples sort adjacent, never
+  // dominate each other, and share one verdict.
+  const size_t tail = k - 1;
+  std::vector<double> kept;  // tail axes of each kept tuple, in order
+  size_t kept_count = 0;
+  const double* previous = nullptr;
+  bool previous_kept = false;
+  for (const auto& key : order) {
+    const size_t c = key.second;
+    const double* p = tuple(c);
+    bool on_frontier = previous_kept;
+    if (previous == nullptr || !std::equal(p, p + k, previous)) {
+      on_frontier = true;
+      for (size_t j = 0; j < kept_count && on_frontier; ++j) {
+        const double* q = kept.data() + j * tail;
+        on_frontier = !std::equal(p + 1, p + k, q, [](double pv, double qv) {
+          return qv <= pv;
+        });
+      }
+      if (on_frontier) {
+        kept.insert(kept.end(), p + 1, p + k);
+        ++kept_count;
       }
     }
-    p.pareto = false;
-    if (finite) order.push_back(i);
+    points[ids[c]].pareto = on_frontier;
+    previous = p;
+    previous_kept = on_frontier;
   }
-
-  for (size_t a : order) {
-    DsePoint& p = points[a];
-    bool dominated = false;
-    for (size_t b : order) {
-      if (a == b) continue;
-      const DsePoint& q = points[b];
-      // q dominates p iff q <= p on every axis and q < p on at least one;
-      // identical tuples never dominate each other, so every copy of a
-      // tuple gets the same verdict.
-      bool all_le = true;
-      bool any_lt = false;
-      for (Metric axis : axes) {
-        const double qv = q.metric(axis);
-        const double pv = p.metric(axis);
-        if (qv > pv) {
-          all_le = false;
-          break;
-        }
-        if (qv < pv) any_lt = true;
-      }
-      if (all_le && any_lt) {
-        dominated = true;
-        break;
-      }
-    }
-    p.pareto = !dominated;
-  }
-}
-
-DseResult merge(std::vector<DseResult> shards) {
-  return merge(std::move(shards),
-               {Metric::kEnergy, Metric::kLatency, Metric::kArea});
 }
 
 DseResult merge(std::vector<DseResult> shards,

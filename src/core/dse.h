@@ -301,33 +301,29 @@ struct DseResult {
   [[nodiscard]] const DsePoint& best_edap() const;
 };
 
-/// Sets the `pareto` flag of every point that is non-dominated in
-/// (energy_pJ, latency_ns, area_mm2), minimizing all three.  Runs in
-/// O(n log n): sort by energy, then sweep a latency->min-area staircase.
-void mark_pareto_frontier(std::vector<DsePoint>& points);
-
-/// Frontier over a configurable axis list (pareto_axes of the sweep's
-/// objective): the legacy (energy, latency, area) triple runs the
-/// staircase sweep above byte-identically; any other list runs an O(n^2)
-/// dominance check minimizing every axis.  Points with a non-finite
-/// value on any axis are never on the frontier (the legacy rule extended
-/// slot-wise); identical tuples share one verdict.  Throws
-/// std::invalid_argument on an empty axis list.
+/// Sets the `pareto` flag of every point that is non-dominated over
+/// `axes` (pareto_axes of the sweep's objective; by default the legacy
+/// (energy, latency, area) triple), minimizing every axis.  Points with a
+/// non-finite value on any axis are never on the frontier; identical
+/// tuples share one verdict.  Sorts the finite points lexicographically
+/// and keeps a point iff no already-kept point dominates it:
+/// O(n log n + n * frontier).  Throws std::invalid_argument on an empty
+/// axis list.
 void mark_pareto_frontier(std::vector<DsePoint>& points,
-                          const std::vector<Metric>& axes);
+                          const std::vector<Metric>& axes = {
+                              Metric::kEnergy, Metric::kLatency,
+                              Metric::kArea});
 
 /// Recombines shard results: concatenates all points, restores canonical
 /// order by DsePoint::index, and re-runs mark_pareto_frontier over the
-/// union (the staircase sweep composes).  Merging every shard of an
-/// explore() yields a result bit-identical to the unsharded run.  Throws
+/// union with the same axes.  Merging every shard of an explore() yields
+/// a result bit-identical to the unsharded run.  Throws
 /// std::invalid_argument when two points carry the same index
 /// (overlapping shards).
-[[nodiscard]] DseResult merge(std::vector<DseResult> shards);
-
-/// merge() with the frontier recomputed over explicit axes (the sweep's
-/// pareto_axes); the single-argument overload is the legacy-triple case.
 [[nodiscard]] DseResult merge(std::vector<DseResult> shards,
-                              const std::vector<Metric>& axes);
+                              const std::vector<Metric>& axes = {
+                                  Metric::kEnergy, Metric::kLatency,
+                                  Metric::kArea});
 
 /// Byte sink behind DseShardWriter.  The writer's footer trick needs
 /// random access (seek back over the footer before the next point), so

@@ -403,10 +403,9 @@ ResolvedModels resolve_models(const SimulateRequest& request) {
 }
 
 std::unique_ptr<Mapper> make_mapper(const SimulateRequest& request) {
-  // One grammar for every surface (core/metrics.h): canned names parse to
-  // the legacy specs (scored bit-identically), and the spec is validated
-  // up front even under "rules" so a typo'd objective fails loudly — the
-  // pre-spec behavior.
+  // One grammar for every surface (core/metrics.h), validated up front
+  // even under "rules" so a typo'd objective fails loudly — the pre-spec
+  // behavior.
   const ObjectiveSpec objective = ObjectiveSpec::parse(request.objective);
   if (request.mapping == "rules") return nullptr;
   if (request.mapping == "greedy") {
@@ -542,7 +541,7 @@ ExploreHeader explore_header(const ExploreRequest& request,
   // Non-canned objectives change point semantics (extra Pareto axes, p99
   // fields); canned specs stamp nothing.
   const ObjectiveSpec objective = ObjectiveSpec::parse(request.base.objective);
-  if (!objective.canned_objective()) header.objective = objective.text();
+  if (!objective.canned()) header.objective = objective.text();
   header.shard = request.shard;
   return header;
 }

@@ -13,44 +13,9 @@ namespace simphony::core {
 
 namespace {
 
-constexpr double kInfeasible = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 }  // namespace
-
-// --------------------------------------------------- legacy objective
-
-const char* to_string(MappingObjective objective) {
-  switch (objective) {
-    case MappingObjective::kLatency:
-      return "latency";
-    case MappingObjective::kEnergy:
-      return "energy";
-    case MappingObjective::kEdp:
-      return "edp";
-  }
-  return "?";
-}
-
-std::optional<MappingObjective> parse_objective(const std::string& text) {
-  if (text == "latency") return MappingObjective::kLatency;
-  if (text == "energy") return MappingObjective::kEnergy;
-  if (text == "edp") return MappingObjective::kEdp;
-  return std::nullopt;
-}
-
-double objective_value(MappingObjective objective, double energy_pJ,
-                       double latency_ns) {
-  switch (objective) {
-    case MappingObjective::kLatency:
-      return latency_ns;
-    case MappingObjective::kEnergy:
-      return energy_pJ;
-    case MappingObjective::kEdp:
-      return energy_pJ * latency_ns;
-  }
-  return kInfeasible;
-}
 
 // ---------------------------------------------------- batch aggregate
 
@@ -289,16 +254,32 @@ double p99_latency_ns(const std::vector<double>& latency_ns,
 
 namespace {
 
-Metric metric_of(MappingObjective objective) {
-  switch (objective) {
-    case MappingObjective::kLatency:
-      return Metric::kLatency;
-    case MappingObjective::kEnergy:
-      return Metric::kEnergy;
-    case MappingObjective::kEdp:
-      return Metric::kEdp;
+/// One metric slot of a mapping candidate, computed from its predicted
+/// (energy, latency) totals alone.  Area is assignment-independent during
+/// a mapping search: scoring it as 0 shifts every candidate equally and
+/// never reorders an argmin.  For the same reason edap degrades to edp
+/// (the unknown area factor is a constant); mapper_compatible() rejects
+/// the weighted-edap case where that constant would reweight the
+/// combination, and power (left unset) outright.
+double mapper_slot(Metric metric, double energy_pJ, double latency_ns) {
+  switch (metric) {
+    case Metric::kEnergy:
+      return energy_pJ;
+    case Metric::kLatency:
+      return latency_ns;
+    case Metric::kArea:
+      return 0.0;
+    case Metric::kPower:
+      return kNaN;
+    case Metric::kEdp:
+    case Metric::kEdap:
+      return energy_pJ * latency_ns;
+    case Metric::kP99Latency: {
+      const double one = 1.0;
+      return p99_latency_ns(&latency_ns, &one, 1);
+    }
   }
-  return Metric::kEdp;
+  return kNaN;
 }
 
 [[noreturn]] void throw_unknown_metric(const std::string& name,
@@ -319,23 +300,12 @@ Metric metric_of(MappingObjective objective) {
 
 ObjectiveSpec::ObjectiveSpec() { referenced_ = {Metric::kEdp}; }
 
-ObjectiveSpec ObjectiveSpec::canned(MappingObjective objective) {
-  ObjectiveSpec spec;
-  spec.kind_ = Kind::kSingle;
-  spec.text_ = to_string(objective);
-  spec.canned_ = objective;
-  spec.single_ = metric_of(objective);
-  spec.referenced_ = {spec.single_};
-  return spec;
-}
-
 ObjectiveSpec ObjectiveSpec::parse(const std::string& text) {
   // Lexicographic tuple: comma-separated bare metric names.
   if (text.find(',') != std::string::npos) {
     ObjectiveSpec spec;
     spec.kind_ = Kind::kLexicographic;
     spec.text_ = text;
-    spec.canned_ = std::nullopt;
     spec.referenced_.clear();
     size_t pos = 0;
     while (true) {
@@ -368,17 +338,11 @@ ObjectiveSpec ObjectiveSpec::parse(const std::string& text) {
     return spec;
   }
 
-  // The three legacy names stay canned: bit-identical scoring + output.
-  if (const std::optional<MappingObjective> legacy = parse_objective(text)) {
-    return canned(*legacy);
-  }
-
-  // Any other bare registry name is a single-metric spec.
+  // A bare registry name is a single-metric spec.
   if (const std::optional<Metric> metric = parse_metric(text)) {
     ObjectiveSpec spec;
     spec.kind_ = Kind::kSingle;
     spec.text_ = text;
-    spec.canned_ = std::nullopt;
     spec.single_ = *metric;
     spec.referenced_ = {*metric};
     return spec;
@@ -443,7 +407,6 @@ ObjectiveSpec ObjectiveSpec::parse(const std::string& text) {
   ObjectiveSpec spec;
   spec.kind_ = Kind::kWeighted;
   spec.text_ = text;
-  spec.canned_ = std::nullopt;
   spec.referenced_.clear();
   spec.coefficients_ = coefficients;
   spec.offset_ = offset;
@@ -508,21 +471,14 @@ bool ObjectiveSpec::less(const MetricVector& a, const MetricVector& b) const {
 }
 
 double ObjectiveSpec::mapper_score(double energy_pJ, double latency_ns) const {
-  if (canned_) return objective_value(*canned_, energy_pJ, latency_ns);
-  MetricVector metrics;
-  metrics.set(Metric::kEnergy, energy_pJ);
-  metrics.set(Metric::kLatency, latency_ns);
-  // Area is assignment-independent during a mapping search: scoring it as
-  // 0 shifts every candidate equally and never reorders an argmin.  For
-  // the same reason edap degrades to edp (the unknown area factor is a
-  // constant); mapper_compatible() rejects the weighted-edap case where
-  // that constant would reweight the combination.
-  metrics.set(Metric::kArea, 0.0);
-  metrics.set(Metric::kEdp, energy_pJ * latency_ns);
-  metrics.set(Metric::kEdap, energy_pJ * latency_ns);
-  const double one = 1.0;
-  metrics.set(Metric::kP99Latency, p99_latency_ns(&latency_ns, &one, 1));
-  return value(metrics);
+  if (kind_ != Kind::kWeighted) {
+    return mapper_slot(single_, energy_pJ, latency_ns);
+  }
+  double total = offset_;
+  for (Metric metric : referenced_) {
+    total += weight(metric) * mapper_slot(metric, energy_pJ, latency_ns);
+  }
+  return total;
 }
 
 bool ObjectiveSpec::mapper_compatible(std::string* why) const {
@@ -557,7 +513,6 @@ bool ObjectiveSpec::mapper_compatible(std::string* why) const {
 std::vector<Metric> pareto_axes(const ObjectiveSpec& spec) {
   std::vector<Metric> axes = {Metric::kEnergy, Metric::kLatency,
                               Metric::kArea};
-  if (spec.canned_objective()) return axes;
   if (spec.references(Metric::kPower)) axes.push_back(Metric::kPower);
   if (spec.references(Metric::kP99Latency)) {
     axes.push_back(Metric::kP99Latency);

@@ -4,11 +4,11 @@
 // service facade (core/engine.h), and the CLI/server surface.
 //
 // Before this layer the notion of an objective lived in four divergent
-// places: MappingObjective (latency|energy|edp) in mapper.h,
-// BatchAggregate (sum|max|weighted) in workload_set.h, the fixed
-// (energy, latency, area) Pareto axes in dse.cpp, and the hardcoded
-// four-board leaderboard rank inside SuccessiveHalvingStrategy.  This
-// header is now the home of all of them, plus:
+// places: a latency|energy|edp enum in mapper.h, BatchAggregate
+// (sum|max|weighted) in workload_set.h, the fixed (energy, latency, area)
+// Pareto axes in dse.cpp, and the hardcoded four-board leaderboard rank
+// inside SuccessiveHalvingStrategy.  This header is now the home of all
+// of them, plus:
 //
 //   * Metric / MetricVector — named, ordered double slots (energy,
 //     latency, area, power, edp, edap, p99_latency) with NaN = unset.
@@ -17,10 +17,8 @@
 //   * ObjectiveSpec — a parsed objective: a single metric, a
 //     non-negative weighted sum over metrics (util/expr grammar, e.g.
 //     "0.6*edp+0.4*area"), or a lexicographic tuple ("latency,area").
-//     The three legacy names latency|energy|edp parse to *canned* specs
-//     that score through the original objective_value() switch, keeping
-//     every legacy code path (including BnB's admissible bounds)
-//     bit-identical.
+//     It is the only way the code scores a mapping, ranks a point, or
+//     picks Pareto axes.
 //   * p99_latency_ns() — an M/G/1-style tail-latency approximation over
 //     per-model latencies + WorkloadSet weights (docs/metrics.md derives
 //     it), the first genuinely new metric carried through every layer.
@@ -36,27 +34,6 @@
 #include <vector>
 
 namespace simphony::core {
-
-// --------------------------------------------------- legacy objective
-// (moved verbatim from core/mapper.h; semantics unchanged)
-
-/// What a mapping search minimizes.  The three canonical objectives —
-/// now the canned fast path of ObjectiveSpec below.
-enum class MappingObjective {
-  kLatency,  // predicted critical-path latency (ns)
-  kEnergy,   // predicted total energy (pJ)
-  kEdp,      // energy-delay product (pJ * ns)
-};
-
-[[nodiscard]] const char* to_string(MappingObjective objective);
-
-/// "latency" | "energy" | "edp" -> objective; anything else -> nullopt.
-[[nodiscard]] std::optional<MappingObjective> parse_objective(
-    const std::string& text);
-
-/// Scalar cost of (energy, latency) under the objective.
-[[nodiscard]] double objective_value(MappingObjective objective,
-                                     double energy_pJ, double latency_ns);
 
 // ---------------------------------------------------- batch aggregate
 // (moved verbatim from core/workload_set.h; semantics unchanged)
@@ -225,10 +202,10 @@ inline constexpr double kP99Utilization = 0.8;
 ///               a non-negative linear combination (e.g.
 ///               "0.6*edp+0.4*area", "latency+0.01*power")
 ///
-/// The three legacy names latency|energy|edp parse to *canned* specs:
-/// canned specs score through the original objective_value() switch and
-/// opt out of every new serialization field, so all pre-refactor CLI /
-/// server / shard documents stay byte-identical.
+/// The three legacy texts latency|energy|edp (and the default spec) are
+/// *canned*: they score like any single-metric spec, but opt out of the
+/// header `objective` stamp and halving's extra leaderboard, so all
+/// pre-refactor CLI / server / shard documents stay byte-identical.
 class ObjectiveSpec {
  public:
   enum class Kind {
@@ -246,15 +223,15 @@ class ObjectiveSpec {
   /// negative weights.
   [[nodiscard]] static ObjectiveSpec parse(const std::string& text);
 
-  /// The legacy enum as a canned spec (the bit-identical fast path).
-  [[nodiscard]] static ObjectiveSpec canned(MappingObjective objective);
-
   [[nodiscard]] Kind kind() const { return kind_; }
   /// The original spec text (normal form for stamping/round-trips).
   [[nodiscard]] const std::string& text() const { return text_; }
-  /// Set iff the spec is one of the three canned legacy objectives.
-  [[nodiscard]] std::optional<MappingObjective> canned_objective() const {
-    return canned_;
+  /// True exactly for the texts "latency", "energy" and "edp" (the
+  /// default spec included).  Decides only the header `objective` stamp
+  /// and halving's extra board; normalized spellings such as "1*edp"
+  /// are not canned.
+  [[nodiscard]] bool canned() const {
+    return text_ == "latency" || text_ == "energy" || text_ == "edp";
   }
   /// Metrics the spec actually depends on (zero-weight terms dropped),
   /// in Metric enum order.
@@ -283,12 +260,13 @@ class ObjectiveSpec {
   [[nodiscard]] bool less(const MetricVector& a, const MetricVector& b) const;
 
   /// Mapping-search score of a candidate's predicted (energy, latency)
-  /// totals.  Canned specs call objective_value() verbatim; general
-  /// specs score a synthetic vector where area is 0 (assignment-
-  /// independent, so it only shifts every candidate equally... and a
-  /// constant shift never reorders an argmin), edap degrades to edp
-  /// (same reasoning), and p99 is the single-stream tail formula
-  /// (linear in latency).  Only call when mapper_compatible().
+  /// totals.  Each referenced slot is computed straight from (E, L):
+  /// energy is E, latency is L, edp is E*L, area is 0 (assignment-
+  /// independent: a constant shift never reorders an argmin), edap
+  /// degrades to edp (same reasoning), and p99 is the single-stream
+  /// tail formula (linear in latency).  A weighted spec sums
+  /// offset + weight*slot in referenced() order.  Only call when
+  /// mapper_compatible().
   [[nodiscard]] double mapper_score(double energy_pJ,
                                     double latency_ns) const;
 
@@ -305,7 +283,6 @@ class ObjectiveSpec {
  private:
   Kind kind_ = Kind::kSingle;
   std::string text_ = "edp";
-  std::optional<MappingObjective> canned_ = MappingObjective::kEdp;
   Metric single_ = Metric::kEdp;
   std::vector<Metric> lex_;
   std::array<double, kMetricCount> coefficients_{};

@@ -55,12 +55,22 @@ Server::~Server() = default;
 
 bool Server::handle_connection(util::InputStream& in,
                                util::OutputStream& out) {
-  util::LineChannel channel(in, out);
+  util::LineChannel channel(in, out, kMaxRequestBytes);
   ResponseWriter writer(channel);
   bool shutdown_requested = false;
 
   std::string line;
-  while (channel.read_line(&line)) {
+  for (;;) {
+    try {
+      if (!channel.read_line(&line)) break;
+    } catch (const util::LineTooLongError& error) {
+      // The rest of the line is unread, so the next "line" would start
+      // mid-message: answer once and hang up.
+      writer.write(error_response(nullptr, std::string("request ") +
+                                               error.what() +
+                                               "; closing the connection"));
+      break;
+    }
     if (line.empty()) continue;  // blank keep-alive lines are ignored
 
     // Parse the envelope.  Everything that can go wrong with one line is

@@ -25,7 +25,10 @@
 // request is always a terminal status (ok|error|busy).
 //
 // Error handling is per-line: a malformed line yields one "error"
-// response and the connection stays usable for the next line.  A
+// response and the connection stays usable for the next line.  The one
+// exception is a line longer than Server::kMaxRequestBytes: it gets one
+// "error" response and the connection is closed, because framing cannot
+// resync inside an unterminated line.  A
 // "shutdown" request asks the whole server to stop accepting and drain
 // (the response is sent before the listener winds down).
 //
@@ -48,6 +51,11 @@ namespace simphony::core {
 /// the Engine (whose admission queue provides the backpressure).
 class Server {
  public:
+  /// Longest request line a connection may send (newline excluded).
+  /// Without a cap one client could grow the daemon's memory without
+  /// bound by never sending a newline.
+  static constexpr size_t kMaxRequestBytes = size_t{4} << 20;  // 4 MiB
+
   struct Options {
     /// How long each accept() poll waits before re-checking stop
     /// conditions — the latency bound on graceful shutdown.
@@ -88,8 +96,9 @@ class Server {
   void request_stop() { stop_.store(true); }
 
   /// The protocol core, transport-free: reads envelope lines from `in`
-  /// until end-of-stream, writing one (or more, with progress) response
-  /// lines per request to `out`.  Returns true when a "shutdown"
+  /// until end-of-stream (or an over-long line), writing one (or more,
+  /// with progress) response lines per request to `out`.  Returns true
+  /// when a "shutdown"
   /// request was processed.  Tests call this directly over memory
   /// streams; serve() calls it per accepted socket.
   bool handle_connection(util::InputStream& in, util::OutputStream& out);

@@ -456,15 +456,7 @@ BatchReport::Totals BatchReport::totals(BatchAggregate aggregate) const {
     slice.tops = m.report.tops();
     slices.push_back(slice);
   }
-  const BatchFold fold = fold_batch(aggregate, slices);
-  Totals totals;
-  totals.energy_pJ = fold.energy_pJ;
-  totals.latency_ns = fold.latency_ns;
-  totals.area_mm2 = fold.area_mm2;
-  totals.macs = fold.macs;
-  totals.power_W = fold.power_W;
-  totals.tops = fold.tops;
-  return totals;
+  return fold_batch(aggregate, slices);
 }
 
 BatchReport Simulator::simulate_batch(const WorkloadSet& workloads,

@@ -97,15 +97,9 @@ struct BatchReport {
   /// and TOPS are derived from the aggregated energy / latency / macs
   /// for kSum / kWeighted; under kMax they are the per-model worst cases
   /// (max power, min TOPS) — a ratio of independently-maxed energy and
-  /// latency would be a figure no model exhibits.
-  struct Totals {
-    double energy_pJ = 0.0;
-    double latency_ns = 0.0;
-    double area_mm2 = 0.0;
-    double macs = 0.0;
-    double power_W = 0.0;  // 0 when latency is 0 and the batch is empty
-    double tops = 0.0;
-  };
+  /// latency would be a figure no model exhibits.  Power is 0 when
+  /// latency is 0 and the batch is empty.
+  using Totals = BatchFold;
 
   std::vector<ModelResult> models;  // WorkloadSet order
 

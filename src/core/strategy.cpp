@@ -1,6 +1,7 @@
 #include "core/strategy.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -16,39 +17,15 @@ const char* to_string(FidelityLevel fidelity) {
 
 namespace {
 
-/// Batch positions sorted ascending by one objective — non-finite values
-/// last (they can never be frontier points), canonical index as the tie
-/// break so the order is deterministic for any thread count.
-std::vector<size_t> leaderboard(const std::vector<DsePoint>& points,
-                                double (*metric)(const DsePoint&)) {
-  std::vector<size_t> order(points.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const double ma = metric(points[a]);
-    const double mb = metric(points[b]);
-    const bool fa = std::isfinite(ma);
-    const bool fb = std::isfinite(mb);
-    if (fa != fb) return fa;
-    if (fa && ma != mb) return ma < mb;
-    return points[a].index < points[b].index;
-  });
-  return order;
-}
-
-double metric_energy(const DsePoint& p) { return p.energy_pJ; }
-double metric_latency(const DsePoint& p) { return p.latency_ns; }
-double metric_area(const DsePoint& p) { return p.area_mm2; }
-double metric_edap(const DsePoint& p) { return p.edap(); }
-
 /// Batch positions ranked by an objective spec: finite spec values first
-/// (ascending under the spec's own ordering — value() for scalar specs,
-/// the component-wise comparison for lexicographic ones), canonical index
-/// as the deterministic tie break.
+/// (non-finite points can never be frontier points), ascending under the
+/// spec's own ordering — value() for scalar specs, the component-wise
+/// comparison for lexicographic ones — with the canonical index as the
+/// tie break, so the order is deterministic for any thread count.
+/// `vectors[i]` is `points[i].metrics()`.
 std::vector<size_t> spec_leaderboard(const std::vector<DsePoint>& points,
+                                     const std::vector<MetricVector>& vectors,
                                      const ObjectiveSpec& spec) {
-  std::vector<MetricVector> vectors;
-  vectors.reserve(points.size());
-  for (const DsePoint& p : points) vectors.push_back(p.metrics());
   std::vector<size_t> order(points.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -101,8 +78,9 @@ std::vector<DsePoint> OneShotStrategy::finish() {
 
 // --------------------------------------------- SuccessiveHalvingStrategy
 
-SuccessiveHalvingStrategy::SuccessiveHalvingStrategy(int eta, int rungs)
-    : eta_(eta), rungs_(rungs) {
+SuccessiveHalvingStrategy::SuccessiveHalvingStrategy(int eta, int rungs,
+                                                     ObjectiveSpec objective)
+    : eta_(eta), rungs_(rungs), objective_(std::move(objective)) {
   if (eta < 2) {
     throw std::invalid_argument("successive halving needs eta >= 2, got " +
                                 std::to_string(eta));
@@ -111,12 +89,6 @@ SuccessiveHalvingStrategy::SuccessiveHalvingStrategy(int eta, int rungs)
     throw std::invalid_argument("successive halving needs rungs >= 1, got " +
                                 std::to_string(rungs));
   }
-}
-
-SuccessiveHalvingStrategy::SuccessiveHalvingStrategy(int eta, int rungs,
-                                                     ObjectiveSpec objective)
-    : SuccessiveHalvingStrategy(eta, rungs) {
-  objective_ = std::move(objective);
 }
 
 size_t SuccessiveHalvingStrategy::rung_survivors(size_t n, int eta,
@@ -180,26 +152,28 @@ void SuccessiveHalvingStrategy::consume(
     return;
   }
   // Multi-objective rank: a point's rank is its best position across the
-  // per-objective leaderboards, so the cheap tier's argmin of every
-  // objective — and with it each frontier extreme — always survives.
+  // single-metric boards, so the cheap tier's argmin of every objective —
+  // and with it each frontier extreme — always survives.  A non-canned
+  // objective adds its own board, so the spec's argmin is guaranteed a
+  // full-fidelity evaluation; the canned specs add nothing, keeping
+  // legacy survivor sets (and documents) byte-identical.
+  static const std::array<ObjectiveSpec, 4> kBoards = {
+      ObjectiveSpec::parse("energy"), ObjectiveSpec::parse("latency"),
+      ObjectiveSpec::parse("area"), ObjectiveSpec::parse("edap")};
+  std::vector<MetricVector> vectors;
+  vectors.reserve(evaluated.size());
+  for (const DsePoint& p : evaluated) vectors.push_back(p.metrics());
   std::vector<size_t> rank(evaluated.size(),
                            std::numeric_limits<size_t>::max());
-  for (double (*metric)(const DsePoint&) :
-       {&metric_energy, &metric_latency, &metric_area, &metric_edap}) {
-    const std::vector<size_t> order = leaderboard(evaluated, metric);
+  const auto add_board = [&](const ObjectiveSpec& board) {
+    const std::vector<size_t> order =
+        spec_leaderboard(evaluated, vectors, board);
     for (size_t pos = 0; pos < order.size(); ++pos) {
       rank[order[pos]] = std::min(rank[order[pos]], pos);
     }
-  }
-  // A non-canned objective adds its own board, so the spec's argmin is
-  // guaranteed a full-fidelity evaluation; the canned specs add nothing,
-  // keeping legacy survivor sets (and documents) byte-identical.
-  if (!objective_.canned_objective()) {
-    const std::vector<size_t> order = spec_leaderboard(evaluated, objective_);
-    for (size_t pos = 0; pos < order.size(); ++pos) {
-      rank[order[pos]] = std::min(rank[order[pos]], pos);
-    }
-  }
+  };
+  for (const ObjectiveSpec& board : kBoards) add_board(board);
+  if (!objective_.canned()) add_board(objective_);
   std::vector<size_t> order(evaluated.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -226,20 +200,16 @@ std::vector<DsePoint> SuccessiveHalvingStrategy::finish() {
 // ----------------------------------------------- FrontierRefineStrategy
 
 FrontierRefineStrategy::FrontierRefineStrategy(DseSpace space,
-                                               int refine_rounds)
-    : space_(std::move(space)), refine_rounds_(refine_rounds) {
+                                               int refine_rounds,
+                                               ObjectiveSpec objective)
+    : space_(std::move(space)),
+      refine_rounds_(refine_rounds),
+      objective_(std::move(objective)) {
   if (refine_rounds < 1) {
     throw std::invalid_argument(
         "frontier refinement needs refine_rounds >= 1, got " +
         std::to_string(refine_rounds));
   }
-}
-
-FrontierRefineStrategy::FrontierRefineStrategy(DseSpace space,
-                                               int refine_rounds,
-                                               ObjectiveSpec objective)
-    : FrontierRefineStrategy(std::move(space), refine_rounds) {
-  objective_ = std::move(objective);
 }
 
 void FrontierRefineStrategy::begin(Context context) {

@@ -145,15 +145,15 @@ class OneShotStrategy final : public ExploreStrategy {
 /// per-shard survivor sets rather than the unsharded global bracket.
 class SuccessiveHalvingStrategy final : public ExploreStrategy {
  public:
-  /// Throws std::invalid_argument unless eta >= 2 and rungs >= 1.
-  explicit SuccessiveHalvingStrategy(int eta = 3, int rungs = 2);
-
   /// Halving driven by an objective spec (core/metrics.h).  The four
-  /// legacy leaderboards always run — selection (and therefore every
-  /// legacy document) is unchanged for the canned specs — and a
-  /// non-canned spec adds one more board ranked by its value(), so the
-  /// spec's own argmin always survives to the full-fidelity rung.
-  SuccessiveHalvingStrategy(int eta, int rungs, ObjectiveSpec objective);
+  /// single-metric boards (energy, latency, area, edap) always run —
+  /// selection (and therefore every legacy document) is unchanged for
+  /// the canned specs — and a non-canned spec adds one more board ranked
+  /// by itself, so the spec's own argmin always survives to the
+  /// full-fidelity rung.  Throws std::invalid_argument unless eta >= 2
+  /// and rungs >= 1.
+  explicit SuccessiveHalvingStrategy(int eta = 3, int rungs = 2,
+                                     ObjectiveSpec objective = {});
 
   [[nodiscard]] std::string name() const override { return "halving"; }
   [[nodiscard]] int eta() const { return eta_; }
@@ -172,7 +172,7 @@ class SuccessiveHalvingStrategy final : public ExploreStrategy {
  private:
   int eta_;
   int rungs_;
-  ObjectiveSpec objective_;  // default: canned edp (legacy selection)
+  ObjectiveSpec objective_;
   Context context_;
   int rung_ = 0;
   bool awaiting_consume_ = false;
@@ -194,15 +194,13 @@ class SuccessiveHalvingStrategy final : public ExploreStrategy {
 /// both — refined indices fall outside the canonical point list).
 class FrontierRefineStrategy final : public ExploreStrategy {
  public:
-  /// Throws std::invalid_argument when refine_rounds < 1.
-  explicit FrontierRefineStrategy(DseSpace space, int refine_rounds = 1);
-
   /// Refinement around the frontier of an objective spec's pareto_axes
   /// (core/metrics.h): a spec referencing p99_latency steps neighbors of
   /// the tail-latency frontier too.  Canned specs reproduce the legacy
-  /// (energy, latency, area) frontier exactly.
-  FrontierRefineStrategy(DseSpace space, int refine_rounds,
-                         ObjectiveSpec objective);
+  /// (energy, latency, area) frontier exactly.  Throws
+  /// std::invalid_argument when refine_rounds < 1.
+  explicit FrontierRefineStrategy(DseSpace space, int refine_rounds = 1,
+                                  ObjectiveSpec objective = {});
 
   [[nodiscard]] std::string name() const override { return "frontier"; }
   [[nodiscard]] int refine_rounds() const { return refine_rounds_; }
@@ -219,7 +217,7 @@ class FrontierRefineStrategy final : public ExploreStrategy {
 
   DseSpace space_;
   int refine_rounds_;
-  ObjectiveSpec objective_;  // default: canned edp (legacy frontier axes)
+  ObjectiveSpec objective_;
   Context context_;
   int round_ = 0;  // 0 = base one-shot pass, 1.. = refine rounds
   bool awaiting_consume_ = false;

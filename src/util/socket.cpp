@@ -270,6 +270,12 @@ std::optional<Socket> ServerSocket::accept(int timeout_ms) {
 
 bool LineChannel::read_line(std::string* line) {
   line->clear();
+  const auto check_cap = [&] {
+    if (line->size() > max_line_bytes_) {
+      throw LineTooLongError("line exceeds " +
+                             std::to_string(max_line_bytes_) + " bytes");
+    }
+  };
   for (;;) {
     const size_t newline = buffer_.find('\n', buffer_pos_);
     if (newline != std::string::npos) {
@@ -280,11 +286,13 @@ bool LineChannel::read_line(std::string* line) {
         buffer_.clear();
         buffer_pos_ = 0;
       }
+      check_cap();
       return true;
     }
     line->append(buffer_, buffer_pos_, buffer_.size() - buffer_pos_);
     buffer_.clear();
     buffer_pos_ = 0;
+    check_cap();
     if (eof_) return !line->empty();
     char chunk[4096];
     const size_t got = in_->read(chunk, sizeof(chunk));

@@ -103,19 +103,31 @@ class ServerSocket {
   SocketAddress address_;
 };
 
+/// Thrown by LineChannel::read_line when a line outgrows the channel's
+/// cap.  The rest of that line was never read, so framing cannot resync:
+/// the reader's only safe move is to close the channel.
+class LineTooLongError : public IoError {
+ public:
+  using IoError::IoError;
+};
+
 /// Newline-delimited message framing over any stream pair (the NDJSON
 /// protocol layer; docs/server.md).  Reading is buffered; writing
 /// appends '\n' and flushes, so one write_line() is one complete,
 /// immediately-visible protocol message.
 class LineChannel {
  public:
-  /// Streams are not owned and must outlive the channel.
-  LineChannel(InputStream& in, OutputStream& out) : in_(&in), out_(&out) {}
+  /// Streams are not owned and must outlive the channel.  Lines longer
+  /// than `max_line_bytes` (newline excluded) are refused by read_line.
+  LineChannel(InputStream& in, OutputStream& out,
+              size_t max_line_bytes = static_cast<size_t>(-1))
+      : in_(&in), out_(&out), max_line_bytes_(max_line_bytes) {}
 
   /// Reads up to the next '\n' (stripped).  False at end of stream with
   /// no buffered bytes; a final unterminated line is delivered as-is
-  /// (true) and the next call reports end.  Throws IoError on transport
-  /// failure.
+  /// (true) and the next call reports end.  Throws LineTooLongError once
+  /// a line exceeds the cap (holding at most one read chunk beyond it),
+  /// and IoError on transport failure.
   [[nodiscard]] bool read_line(std::string* line);
 
   /// Writes `line` + '\n' and flushes.  `line` must not itself contain
@@ -126,6 +138,7 @@ class LineChannel {
  private:
   InputStream* in_;
   OutputStream* out_;
+  size_t max_line_bytes_;
   std::string buffer_;
   size_t buffer_pos_ = 0;
   bool eof_ = false;

@@ -169,9 +169,9 @@ TEST(SimulateBatch, BitIdenticalToIndependentRunsForEveryMapperObjectiveThreadCo
 
   std::vector<std::unique_ptr<Mapper>> mappers;
   mappers.push_back(std::make_unique<RuleMapper>(MappingConfig(0)));
-  for (const MappingObjective objective :
-       {MappingObjective::kLatency, MappingObjective::kEnergy,
-        MappingObjective::kEdp}) {
+  for (const ObjectiveSpec& objective :
+       {ObjectiveSpec::parse("latency"), ObjectiveSpec::parse("energy"),
+        ObjectiveSpec::parse("edp")}) {
     mappers.push_back(std::make_unique<GreedyMapper>(objective));
     mappers.push_back(std::make_unique<BeamMapper>(4, objective));
     mappers.push_back(std::make_unique<BranchBoundMapper>(objective));
@@ -533,6 +533,18 @@ TEST(CliBatch, RepeatedModelSpecsGetUniqueNames) {
   ASSERT_EQ(models.size(), 2u);
   EXPECT_NE(models[0].at("model").as_string(),
             models[1].at("model").as_string());
+}
+
+TEST(CliSweep, EmptyShardSliceReportsAnEmptyFrontier) {
+  // Two points over four shards: shard 3 owns none of them.
+  const CliResult result =
+      run_cli("--model mlp --sweep tiles=1,2 --shard 3/4");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("0 Pareto-optimal point(s)\n"),
+            std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("best EDAP"), std::string::npos)
+      << result.output;
 }
 
 #endif  // SIMPHONY_CLI_PATH

@@ -274,9 +274,9 @@ TEST(CacheStore, ReloadedSweepBitIdenticalAcrossMappersAndThreadCounts) {
   space.tiles = {1, 2};
   space.wavelengths = {1, 2};
 
-  const GreedyMapper greedy(MappingObjective::kEdp);
-  const BeamMapper beam(4, MappingObjective::kEdp);
-  const BranchBoundMapper bnb(MappingObjective::kEdp);
+  const GreedyMapper greedy(ObjectiveSpec::parse("edp"));
+  const BeamMapper beam(4, ObjectiveSpec::parse("edp"));
+  const BranchBoundMapper bnb(ObjectiveSpec::parse("edp"));
   const std::vector<const Mapper*> mappers = {&greedy, &beam, &bnb};
 
   for (const Mapper* mapper : mappers) {
@@ -331,7 +331,7 @@ TEST(CacheStore, SimulatorOverReloadedCacheReproducesTheReport) {
     return system;
   };
   const workload::Model model = workload::mlp_mnist();
-  const GreedyMapper greedy(MappingObjective::kEdp);
+  const GreedyMapper greedy(ObjectiveSpec::parse("edp"));
 
   CostMatrixCache cache;
   SimulationOptions options;

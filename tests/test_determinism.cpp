@@ -56,9 +56,9 @@ WorkloadSet small_batch() {
 std::vector<std::unique_ptr<Mapper>> all_mappers() {
   std::vector<std::unique_ptr<Mapper>> mappers;
   mappers.push_back(std::make_unique<RuleMapper>(MappingConfig(0)));
-  for (const MappingObjective objective :
-       {MappingObjective::kLatency, MappingObjective::kEnergy,
-        MappingObjective::kEdp}) {
+  for (const ObjectiveSpec& objective :
+       {ObjectiveSpec::parse("latency"), ObjectiveSpec::parse("energy"),
+        ObjectiveSpec::parse("edp")}) {
     mappers.push_back(std::make_unique<GreedyMapper>(objective));
     mappers.push_back(std::make_unique<BeamMapper>(4, objective));
     mappers.push_back(std::make_unique<BranchBoundMapper>(objective));
@@ -126,7 +126,7 @@ TEST(Determinism, BatchedExploreAcrossThreadCounts) {
   DseSpace space;
   space.wavelengths = {1, 2};
   const WorkloadSet set = small_batch();
-  const BeamMapper mapper(4, MappingObjective::kEdp);
+  const BeamMapper mapper(4, ObjectiveSpec::parse("edp"));
 
   CostMatrixCache cache;
   DseOptions serial;
@@ -154,9 +154,9 @@ TEST(Determinism, MapperInternalParallelismAcrossThreadCounts) {
   const Simulator sim(scatter_mzi_system(), sim_options);
   const workload::Model model = converted(workload::mlp_mnist());
 
-  for (const MappingObjective objective :
-       {MappingObjective::kLatency, MappingObjective::kEnergy,
-        MappingObjective::kEdp}) {
+  for (const ObjectiveSpec& objective :
+       {ObjectiveSpec::parse("latency"), ObjectiveSpec::parse("energy"),
+        ObjectiveSpec::parse("edp")}) {
     Mapping base_beam;
     const ModelReport beam_report =
         sim.simulate_model(model, BeamMapper(8, objective, 1), &base_beam);
@@ -165,7 +165,7 @@ TEST(Determinism, MapperInternalParallelismAcrossThreadCounts) {
         sim.simulate_model(model, BranchBoundMapper(objective, 1), &base_bnb);
 
     for (const int threads : kThreadCounts) {
-      SCOPED_TRACE("objective=" + std::string(to_string(objective)) +
+      SCOPED_TRACE("objective=" + objective.text() +
                    " threads=" + std::to_string(threads));
       Mapping beam_chosen;
       const ModelReport beam_t = sim.simulate_model(
@@ -193,7 +193,7 @@ TEST(Determinism, BatchWithNestedParallelMapperAcrossThreadCounts) {
   // model: the nested dispatch (inline on pool workers, pooled from the
   // calling thread) must not change any figure.
   const WorkloadSet set = small_batch();
-  const BeamMapper mapper(4, MappingObjective::kEdp, 2);
+  const BeamMapper mapper(4, ObjectiveSpec::parse("edp"), 2);
 
   CostMatrixCache cache;
   SimulationOptions sim_options;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <unordered_set>
@@ -430,63 +431,120 @@ TEST(Dse, SerialSweepStopsEvaluatingAfterAFailure) {
 
 // ----------------------------------------------------------------- Pareto
 
-bool dominates(const DsePoint& a, const DsePoint& b) {
-  return a.energy_pJ <= b.energy_pJ && a.latency_ns <= b.latency_ns &&
-         a.area_mm2 <= b.area_mm2 &&
-         (a.energy_pJ < b.energy_pJ || a.latency_ns < b.latency_ns ||
-          a.area_mm2 < b.area_mm2);
+/// The axis lists the frontier tests cover: the legacy triple, and the
+/// triple plus each directly rankable extra (pareto_axes of a power or
+/// p99_latency objective).
+std::vector<std::vector<Metric>> frontier_axis_lists() {
+  const std::vector<Metric> legacy = {Metric::kEnergy, Metric::kLatency,
+                                      Metric::kArea};
+  std::vector<Metric> with_power = legacy;
+  with_power.push_back(Metric::kPower);
+  std::vector<Metric> with_p99 = legacy;
+  with_p99.push_back(Metric::kP99Latency);
+  return {legacy, with_power, with_p99};
 }
 
-std::vector<bool> brute_force_pareto(const std::vector<DsePoint>& points) {
-  std::vector<bool> flags(points.size(), true);
-  for (size_t i = 0; i < points.size(); ++i) {
-    for (const auto& other : points) {
-      if (dominates(other, points[i])) {
-        flags[i] = false;
-        break;
-      }
+/// Every DsePoint field an axis list above can read.
+double DsePoint::*const kAxisFields[] = {
+    &DsePoint::energy_pJ, &DsePoint::latency_ns, &DsePoint::area_mm2,
+    &DsePoint::power_W, &DsePoint::p99_latency_ns};
+
+/// Fills every axis field of every point with `draw()`, then overwrites
+/// one random field of roughly one point in twelve with NaN or +inf.
+template <typename Draw>
+std::vector<DsePoint> random_points(size_t n, util::Rng& rng, Draw draw) {
+  std::vector<DsePoint> points(n);
+  for (auto& p : points) {
+    for (double DsePoint::*field : kAxisFields) p.*field = draw();
+    if (rng.uniform_int(0, 11) == 0) {
+      p.*kAxisFields[rng.uniform_int(0, 4)] =
+          rng.uniform_int(0, 1) == 0
+              ? std::numeric_limits<double>::quiet_NaN()
+              : std::numeric_limits<double>::infinity();
     }
+  }
+  return points;
+}
+
+bool finite_on(const DsePoint& p, const std::vector<Metric>& axes) {
+  return std::all_of(axes.begin(), axes.end(), [&](Metric axis) {
+    return std::isfinite(p.metric(axis));
+  });
+}
+
+bool dominates(const DsePoint& a, const DsePoint& b,
+               const std::vector<Metric>& axes) {
+  bool any_less = false;
+  for (Metric axis : axes) {
+    if (a.metric(axis) > b.metric(axis)) return false;
+    any_less = any_less || a.metric(axis) < b.metric(axis);
+  }
+  return any_less;
+}
+
+/// The definition: a point is on the frontier iff it is finite on every
+/// axis and no other such point dominates it.
+std::vector<bool> brute_force_pareto(const std::vector<DsePoint>& points,
+                                     const std::vector<Metric>& axes) {
+  std::vector<bool> flags(points.size(), false);
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (!finite_on(points[i], axes)) continue;
+    flags[i] = std::none_of(points.begin(), points.end(), [&](const auto& q) {
+      return finite_on(q, axes) && dominates(q, points[i], axes);
+    });
   }
   return flags;
 }
 
 TEST(Dse, ParetoSweepMatchesBruteForceOnRandomPoints) {
   util::Rng rng(123);
-  for (size_t n : {0u, 1u, 2u, 3u, 50u, 300u}) {
-    std::vector<DsePoint> points(n);
-    for (auto& p : points) {
-      p.energy_pJ = rng.uniform(0.0, 100.0);
-      p.latency_ns = rng.uniform(0.0, 100.0);
-      p.area_mm2 = rng.uniform(0.0, 100.0);
-    }
-    mark_pareto_frontier(points);
-    const std::vector<bool> expected = brute_force_pareto(points);
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(points[i].pareto, expected[i]) << "n=" << n << " i=" << i;
+  for (const std::vector<Metric>& axes : frontier_axis_lists()) {
+    for (size_t n : {0u, 1u, 2u, 3u, 50u, 300u}) {
+      std::vector<DsePoint> points =
+          random_points(n, rng, [&] { return rng.uniform(0.0, 100.0); });
+      mark_pareto_frontier(points, axes);
+      const std::vector<bool> expected = brute_force_pareto(points, axes);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(points[i].pareto, expected[i])
+            << "axes=" << axes.size() << " n=" << n << " i=" << i;
+      }
     }
   }
 }
 
 TEST(Dse, ParetoSweepMatchesBruteForceWithTiesAndDuplicates) {
   // A coarse value alphabet forces equal coordinates, equal pairs, and
-  // exact duplicate triples — the tie-handling corner cases of the sweep.
+  // exact duplicate tuples — the tie-handling corner cases.
   util::Rng rng(321);
-  for (int round = 0; round < 20; ++round) {
-    std::vector<DsePoint> points(120);
-    for (auto& p : points) {
-      p.energy_pJ = static_cast<double>(rng.uniform_int(0, 3));
-      p.latency_ns = static_cast<double>(rng.uniform_int(0, 3));
-      p.area_mm2 = static_cast<double>(rng.uniform_int(0, 3));
-    }
-    mark_pareto_frontier(points);
-    const std::vector<bool> expected = brute_force_pareto(points);
-    for (size_t i = 0; i < points.size(); ++i) {
-      ASSERT_EQ(points[i].pareto, expected[i])
-          << "round=" << round << " i=" << i << " ("
-          << points[i].energy_pJ << "," << points[i].latency_ns << ","
-          << points[i].area_mm2 << ")";
+  for (const std::vector<Metric>& axes : frontier_axis_lists()) {
+    for (int round = 0; round < 20; ++round) {
+      std::vector<DsePoint> points = random_points(120, rng, [&] {
+        return static_cast<double>(rng.uniform_int(0, 3));
+      });
+      mark_pareto_frontier(points, axes);
+      const std::vector<bool> expected = brute_force_pareto(points, axes);
+      for (size_t i = 0; i < points.size(); ++i) {
+        ASSERT_EQ(points[i].pareto, expected[i])
+            << "axes=" << axes.size() << " round=" << round << " i=" << i
+            << " (" << points[i].energy_pJ << "," << points[i].latency_ns
+            << "," << points[i].area_mm2 << "," << points[i].power_W << ","
+            << points[i].p99_latency_ns << ")";
+      }
     }
   }
+}
+
+TEST(Dse, ParetoDefaultAxesAreTheLegacyTriple) {
+  util::Rng rng(99);
+  std::vector<DsePoint> points =
+      random_points(200, rng, [&] { return rng.uniform(0.0, 100.0); });
+  std::vector<DsePoint> explicit_axes = points;
+  mark_pareto_frontier(points);
+  mark_pareto_frontier(explicit_axes, frontier_axis_lists().front());
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(points[i].pareto, explicit_axes[i].pareto) << i;
+  }
+  EXPECT_THROW(mark_pareto_frontier(points, {}), std::invalid_argument);
 }
 
 TEST(Dse, ParetoSweepResetsStaleFlags) {

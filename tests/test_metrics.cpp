@@ -124,26 +124,37 @@ TEST(P99Latency, MixMatchesHandComputedApproximation) {
 // ------------------------------------------------------ objective spec
 
 TEST(ObjectiveSpecParse, CannedLegacyNamesStayCanned) {
-  for (MappingObjective legacy :
-       {MappingObjective::kLatency, MappingObjective::kEnergy,
-        MappingObjective::kEdp}) {
-    const ObjectiveSpec spec = ObjectiveSpec::parse(to_string(legacy));
+  for (const std::string legacy : {"latency", "energy", "edp"}) {
+    const ObjectiveSpec spec = ObjectiveSpec::parse(legacy);
     EXPECT_EQ(spec.kind(), ObjectiveSpec::Kind::kSingle);
-    ASSERT_TRUE(spec.canned_objective().has_value());
-    EXPECT_EQ(*spec.canned_objective(), legacy);
-    EXPECT_EQ(spec.text(), to_string(legacy));
-    // Canned scoring IS the legacy switch.
-    EXPECT_EQ(spec.mapper_score(2.0, 3.0),
-              objective_value(legacy, 2.0, 3.0));
+    EXPECT_TRUE(spec.canned()) << legacy;
+    EXPECT_EQ(spec.text(), legacy);
   }
   // Default-constructed spec: canned edp.
-  EXPECT_EQ(ObjectiveSpec().canned_objective(), MappingObjective::kEdp);
+  EXPECT_TRUE(ObjectiveSpec().canned());
+  EXPECT_EQ(ObjectiveSpec().text(), "edp");
+  // Names are case-sensitive.
+  EXPECT_THROW((void)ObjectiveSpec::parse("EDP"), std::invalid_argument);
+  // A normalized spelling scores like edp but is not canned: it stamps
+  // its text into documents.
+  EXPECT_FALSE(ObjectiveSpec::parse("1*edp").canned());
+}
+
+TEST(ObjectiveSpecMapper, SingleMetricScoresComeStraightFromEnergyAndLatency) {
+  EXPECT_EQ(ObjectiveSpec::parse("energy").mapper_score(2.0, 3.0), 2.0);
+  EXPECT_EQ(ObjectiveSpec::parse("latency").mapper_score(2.0, 3.0), 3.0);
+  EXPECT_EQ(ObjectiveSpec::parse("edp").mapper_score(2.0, 3.0), 6.0);
+  EXPECT_EQ(ObjectiveSpec().mapper_score(2.0, 3.0), 6.0);
+  EXPECT_EQ(ObjectiveSpec::parse("edap").mapper_score(2.0, 3.0), 6.0);
+  EXPECT_EQ(ObjectiveSpec::parse("area").mapper_score(2.0, 3.0), 0.0);
+  const ObjectiveSpec p99 = ObjectiveSpec::parse("p99_latency");
+  EXPECT_DOUBLE_EQ(p99.mapper_score(2.0, 3.0), single_stream_p99(3.0));
 }
 
 TEST(ObjectiveSpecParse, SingleWeightedAndLexicographicShapes) {
   const ObjectiveSpec area = ObjectiveSpec::parse("area");
   EXPECT_EQ(area.kind(), ObjectiveSpec::Kind::kSingle);
-  EXPECT_FALSE(area.canned_objective().has_value());
+  EXPECT_FALSE(area.canned());
   EXPECT_EQ(area.referenced(), std::vector<Metric>{Metric::kArea});
 
   const ObjectiveSpec weighted = ObjectiveSpec::parse("0.6*edp+0.4*area");
@@ -160,7 +171,7 @@ TEST(ObjectiveSpecParse, SingleWeightedAndLexicographicShapes) {
   // "1.0 * metric"-shaped expressions normalize to a single-metric spec.
   const ObjectiveSpec unit = ObjectiveSpec::parse("1.0*edap");
   EXPECT_EQ(unit.kind(), ObjectiveSpec::Kind::kSingle);
-  EXPECT_FALSE(unit.canned_objective().has_value());
+  EXPECT_FALSE(unit.canned());
 
   const ObjectiveSpec lex = ObjectiveSpec::parse("latency, energy");
   EXPECT_EQ(lex.kind(), ObjectiveSpec::Kind::kLexicographic);

@@ -134,6 +134,35 @@ TEST(ServerProtocol, BlankLinesAreIgnored) {
   EXPECT_EQ(status_of(transcript.responses[0]), "ok");
 }
 
+TEST(ServerProtocol, OverlongLineAnswersOnceAndClosesTheConnection) {
+  Engine engine;
+  Server server(engine, loopback());
+  // One byte over the cap: alone with no newline, and terminated with a
+  // ping behind it that is never read, because the connection closes.
+  const std::string overlong(Server::kMaxRequestBytes + 1, 'x');
+  for (const std::string& input :
+       {overlong, overlong + "\n{\"op\": \"ping\"}\n"}) {
+    const Transcript transcript = drive(server, input);
+    ASSERT_EQ(transcript.responses.size(), 1u);
+    EXPECT_EQ(status_of(transcript.responses[0]), "error");
+    EXPECT_NE(transcript.responses[0].at("error").as_string().find(
+                  "exceeds " + std::to_string(Server::kMaxRequestBytes)),
+              std::string::npos);
+    EXPECT_FALSE(transcript.shutdown);
+  }
+}
+
+TEST(ServerProtocol, LineAtTheCapIsStillAnsweredPerLine) {
+  Engine engine;
+  Server server(engine, loopback());
+  const std::string at_cap(Server::kMaxRequestBytes, 'x');
+  const Transcript transcript =
+      drive(server, at_cap + "\n{\"op\": \"ping\"}\n");
+  ASSERT_EQ(transcript.responses.size(), 2u);
+  EXPECT_EQ(status_of(transcript.responses[0]), "error");  // not JSON
+  EXPECT_EQ(status_of(transcript.responses[1]), "ok");
+}
+
 // ------------------------------------------------------------ operations
 
 TEST(ServerProtocol, SimulateServesTheEngineDocument) {
