@@ -1,9 +1,11 @@
 // Benchmarks of the DSE engine (core/dse.h): serial vs. thread-pooled
 // design-point evaluation on a 3-axis sweep, the effect of the
-// duplicate-point evaluation cache, and the O(n log n) Pareto frontier
-// sweep on synthetic point clouds.
+// duplicate-point evaluation cache, and the Pareto frontier sweep on
+// synthetic point clouds (uniform and trade-off shaped, three and four
+// axes).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "arch/prebuilt.h"
@@ -290,6 +292,53 @@ BENCHMARK(BM_ParetoFrontier)
     ->RangeMultiplier(4)
     ->Range(256, 65536)
     ->Complexity(benchmark::oNLogN);
+
+/// Frontier marking by axis count and input shape.  Args: axes (3 =
+/// the default triple, which takes the staircase index; 4 adds power,
+/// which takes the linear kept-set scan), shape (0 = independent uniform
+/// axes, few frontier points; 1 = a trade-off surface, every point on the
+/// simplex sum = const, so the whole set is the frontier), point count.
+void BM_ParetoFrontierShape(benchmark::State& state) {
+  const size_t axis_count = static_cast<size_t>(state.range(0));
+  const bool trade_off = state.range(1) == 1;
+  const size_t n = static_cast<size_t>(state.range(2));
+  std::vector<core::Metric> axes = {core::Metric::kEnergy,
+                                    core::Metric::kLatency,
+                                    core::Metric::kArea,
+                                    core::Metric::kPower};
+  axes.resize(axis_count);
+  util::Rng rng(7);
+  std::vector<core::DsePoint> base(n);
+  for (auto& p : base) {
+    double v[4];
+    double sum = 0.0;
+    for (size_t a = 0; a < axis_count; ++a) {
+      v[a] = rng.uniform(1.0, 1000.0);
+      sum += v[a];
+    }
+    const double scale = trade_off ? 1000.0 * axis_count / sum : 1.0;
+    p.energy_pJ = v[0] * scale;
+    p.latency_ns = v[1] * scale;
+    p.area_mm2 = v[2] * scale;
+    if (axis_count > 3) p.power_W = v[3] * scale;
+  }
+  size_t frontier = 0;
+  for (auto _ : state) {
+    std::vector<core::DsePoint> points = base;
+    core::mark_pareto_frontier(points, axes);
+    frontier = static_cast<size_t>(
+        std::count_if(points.begin(), points.end(),
+                      [](const core::DsePoint& p) { return p.pareto; }));
+    benchmark::DoNotOptimize(points);
+  }
+  state.SetLabel(trade_off ? "trade-off" : "uniform");
+  state.counters["frontier"] = static_cast<double>(frontier);
+}
+BENCHMARK(BM_ParetoFrontierShape)
+    ->Args({3, 1, 65536})
+    ->Args({4, 0, 65536})
+    ->Args({4, 1, 4096})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

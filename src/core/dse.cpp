@@ -7,9 +7,9 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <ostream>
 #include <set>
 #include <stdexcept>
@@ -492,12 +492,50 @@ void mark_pareto_frontier(std::vector<DsePoint>& points,
                                         tuple(b.second) + k);
   });
   // A kept q sorts before p, so q[0] <= p[0] holds already, and q
-  // dominates a distinct p iff q <= p on the remaining (tail) axes: only
-  // those are stored and compared.  Identical tuples sort adjacent, never
-  // dominate each other, and share one verdict.
+  // dominates a distinct p iff q <= p on the remaining (tail) axes: the
+  // kept set stores and compares only those.  With exactly two tail axes
+  // (the default triple) it is a staircase: strictly increasing first
+  // tail value mapped to strictly decreasing second, so the entry with the
+  // largest key <= t[0] holds the least second value over every kept
+  // tuple with key <= t[0] — O(log f) per query for a frontier of f,
+  // which matters because real trade-off surfaces put most points on it.
+  // Any other axis count scans the kept tuples: O(f) per query.
   const size_t tail = k - 1;
+  const bool staircase_index = tail == 2;
+  std::map<double, double> staircase;
   std::vector<double> kept;  // tail axes of each kept tuple, in order
   size_t kept_count = 0;
+  const auto dominated = [&](const double* t) {
+    if (staircase_index) {
+      const auto above = staircase.upper_bound(t[0]);
+      return above != staircase.begin() && std::prev(above)->second <= t[1];
+    }
+    for (size_t j = 0; j < kept_count; ++j) {
+      const double* q = kept.data() + j * tail;
+      if (std::equal(t, t + tail, q,
+                     [](double tv, double qv) { return qv <= tv; })) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto keep = [&](const double* t) {
+    if (staircase_index) {
+      // Entries the new tuple covers (both values >=) answer no later
+      // query it does not; dropping them keeps the staircase monotone.
+      auto at = staircase.lower_bound(t[0]);
+      while (at != staircase.end() && at->second >= t[1]) {
+        at = staircase.erase(at);
+      }
+      staircase.emplace(t[0], t[1]);
+      return;
+    }
+    kept.insert(kept.end(), t, t + tail);
+    ++kept_count;
+  };
+
+  // Identical tuples sort adjacent, never dominate each other, and share
+  // one verdict.
   const double* previous = nullptr;
   bool previous_kept = false;
   for (const auto& key : order) {
@@ -505,17 +543,8 @@ void mark_pareto_frontier(std::vector<DsePoint>& points,
     const double* p = tuple(c);
     bool on_frontier = previous_kept;
     if (previous == nullptr || !std::equal(p, p + k, previous)) {
-      on_frontier = true;
-      for (size_t j = 0; j < kept_count && on_frontier; ++j) {
-        const double* q = kept.data() + j * tail;
-        on_frontier = !std::equal(p + 1, p + k, q, [](double pv, double qv) {
-          return qv <= pv;
-        });
-      }
-      if (on_frontier) {
-        kept.insert(kept.end(), p + 1, p + k);
-        ++kept_count;
-      }
+      on_frontier = !dominated(p + 1);
+      if (on_frontier) keep(p + 1);
     }
     points[ids[c]].pareto = on_frontier;
     previous = p;

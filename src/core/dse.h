@@ -302,17 +302,17 @@ struct DseResult {
 };
 
 /// Sets the `pareto` flag of every point that is non-dominated over
-/// `axes` (pareto_axes of the sweep's objective; by default the legacy
-/// (energy, latency, area) triple), minimizing every axis.  Points with a
-/// non-finite value on any axis are never on the frontier; identical
-/// tuples share one verdict.  Sorts the finite points lexicographically
-/// and keeps a point iff no already-kept point dominates it:
-/// O(n log n + n * frontier).  Throws std::invalid_argument on an empty
-/// axis list.
+/// `axes` (pareto_axes of the sweep's objective; by default the
+/// (energy, latency, area) triple of the default objective), minimizing
+/// every axis.  Points with a non-finite value on any axis are never on
+/// the frontier; identical tuples share one verdict.  Sorts the finite
+/// points lexicographically and keeps a point iff no already-kept point
+/// dominates it: O(n log n) for three axes whatever the frontier size,
+/// O(n log n + n * frontier) for any other count.  Throws
+/// std::invalid_argument on an empty axis list.
 void mark_pareto_frontier(std::vector<DsePoint>& points,
-                          const std::vector<Metric>& axes = {
-                              Metric::kEnergy, Metric::kLatency,
-                              Metric::kArea});
+                          const std::vector<Metric>& axes =
+                              pareto_axes(ObjectiveSpec{}));
 
 /// Recombines shard results: concatenates all points, restores canonical
 /// order by DsePoint::index, and re-runs mark_pareto_frontier over the
@@ -321,9 +321,8 @@ void mark_pareto_frontier(std::vector<DsePoint>& points,
 /// std::invalid_argument when two points carry the same index
 /// (overlapping shards).
 [[nodiscard]] DseResult merge(std::vector<DseResult> shards,
-                              const std::vector<Metric>& axes = {
-                                  Metric::kEnergy, Metric::kLatency,
-                                  Metric::kArea});
+                              const std::vector<Metric>& axes =
+                                  pareto_axes(ObjectiveSpec{}));
 
 /// Byte sink behind DseShardWriter.  The writer's footer trick needs
 /// random access (seek back over the footer before the next point), so

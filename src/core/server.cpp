@@ -243,6 +243,11 @@ void Server::serve() {
     connection.thread = std::thread([this, socket, done] {
       try {
         handle_connection(*socket, *socket);
+        // Let the peer hang up first, so the socket closes with nothing
+        // unread (the rest of an over-long line) and the peer sees every
+        // response, then end of stream, rather than a reset.
+        socket->shutdown_write();
+        socket->discard_input(kMaxRequestBytes, kLingerMs);
       } catch (const std::exception& error) {
         // A transport failure (peer reset mid-line) ends this
         // connection only.

@@ -56,6 +56,10 @@ class Server {
   /// bound by never sending a newline.
   static constexpr size_t kMaxRequestBytes = size_t{4} << 20;  // 4 MiB
 
+  /// After a connection ends, how long serve() keeps reading (and
+  /// dropping, at most kMaxRequestBytes) until the peer hangs up.
+  static constexpr int kLingerMs = 2000;
+
   struct Options {
     /// How long each accept() poll waits before re-checking stop
     /// conditions — the latency bound on graceful shutdown.

@@ -1,6 +1,8 @@
 #include "util/socket.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -178,6 +180,25 @@ void Socket::write(const void* data, size_t size) {
 void Socket::shutdown_write() { ::shutdown(fd_, SHUT_WR); }
 
 void Socket::shutdown_read() { ::shutdown(fd_, SHUT_RD); }
+
+void Socket::discard_input(size_t max_bytes, int timeout_ms) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(timeout_ms);
+  char chunk[4096];
+  for (size_t dropped = 0; dropped < max_bytes;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - Clock::now())
+                          .count();
+    pollfd pfd{fd_, POLLIN, 0};
+    // Timeout, hang-up, reset or signal: nothing left worth waiting for.
+    if (left <= 0 || ::poll(&pfd, 1, static_cast<int>(left)) <= 0) return;
+    const ssize_t got =
+        ::recv(fd_, chunk, std::min(sizeof(chunk), max_bytes - dropped), 0);
+    if (got <= 0) return;
+    dropped += static_cast<size_t>(got);
+  }
+}
 
 // --------------------------------------------------------- ServerSocket
 

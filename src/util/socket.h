@@ -70,6 +70,14 @@ class Socket final : public InputStream, public OutputStream {
   /// every later one, returns 0 as at peer close; writes keep working.
   void shutdown_read();
 
+  /// Reads and drops what the peer still sends until it hangs up,
+  /// `max_bytes` have been dropped, or `timeout_ms` has passed, whichever
+  /// comes first.  A server calls it after shutdown_write() so it closes
+  /// with nothing unread: closing a TCP socket with unread bytes sends a
+  /// reset, which can destroy a response the peer has not read yet.
+  /// Best effort: a transport failure ends it quietly.
+  void discard_input(size_t max_bytes, int timeout_ms);
+
   [[nodiscard]] int fd() const { return fd_; }
   /// Human-readable peer label for diagnostics ("unix:/tmp/x.sock",
   /// "tcp:127.0.0.1:4000"); may be empty for adopted fds.

@@ -431,9 +431,10 @@ TEST(Dse, SerialSweepStopsEvaluatingAfterAFailure) {
 
 // ----------------------------------------------------------------- Pareto
 
-/// The axis lists the frontier tests cover: the legacy triple, and the
+/// The axis lists the frontier tests cover: the legacy triple, the
 /// triple plus each directly rankable extra (pareto_axes of a power or
-/// p99_latency objective).
+/// p99_latency objective), another triple, and the short lists.  Three
+/// axes take the staircase index, every other count the linear scan.
 std::vector<std::vector<Metric>> frontier_axis_lists() {
   const std::vector<Metric> legacy = {Metric::kEnergy, Metric::kLatency,
                                       Metric::kArea};
@@ -441,7 +442,12 @@ std::vector<std::vector<Metric>> frontier_axis_lists() {
   with_power.push_back(Metric::kPower);
   std::vector<Metric> with_p99 = legacy;
   with_p99.push_back(Metric::kP99Latency);
-  return {legacy, with_power, with_p99};
+  return {legacy,
+          with_power,
+          with_p99,
+          {Metric::kPower, Metric::kP99Latency, Metric::kLatency},
+          {Metric::kEnergy, Metric::kLatency},
+          {Metric::kArea}};
 }
 
 /// Every DsePoint field an axis list above can read.
@@ -531,6 +537,32 @@ TEST(Dse, ParetoSweepMatchesBruteForceWithTiesAndDuplicates) {
             << points[i].p99_latency_ns << ")";
       }
     }
+  }
+}
+
+TEST(Dse, ParetoSweepMatchesBruteForceOnTradeOffSurfaces) {
+  // Points near the simplex "sum over the axes = 100" trade off against
+  // each other, so most of them are on the frontier: the kept set grows
+  // to nearly n instead of a few dozen.
+  util::Rng rng(77);
+  for (const std::vector<Metric>& axes : frontier_axis_lists()) {
+    std::vector<DsePoint> points =
+        random_points(400, rng, [&] { return rng.uniform(1.0, 100.0); });
+    for (DsePoint& p : points) {
+      double sum = 0.0;
+      for (Metric axis : axes) sum += p.metric(axis);
+      if (!std::isfinite(sum)) continue;
+      for (double DsePoint::*field : kAxisFields) p.*field *= 100.0 / sum;
+    }
+    mark_pareto_frontier(points, axes);
+    const std::vector<bool> expected = brute_force_pareto(points, axes);
+    size_t on_frontier = 0;
+    for (size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(points[i].pareto, expected[i])
+          << "axes=" << axes.size() << " i=" << i;
+      on_frontier += points[i].pareto ? 1 : 0;
+    }
+    if (axes.size() >= 3) EXPECT_GT(on_frontier, points.size() / 2);
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -373,6 +374,52 @@ TEST(ServerSocketServe, StopReleasesAnIdleConnectedPeer) {
   serving.join();
   EXPECT_TRUE(exited) << "serve() still running 5 s after request_stop()";
   EXPECT_FALSE(channel.read_line(&line));  // the server hung up
+}
+
+// Over a real TCP socket the over-long line's error response must reach
+// the peer even when the peer is still sending the rest of the line:
+// a server that closed with those bytes unread would send a reset,
+// failing the peer's write or discarding the response unread.
+TEST(ServerSocketServe, OverlongLineErrorSurvivesTheRestOfTheLine) {
+  Engine engine;
+  Server server(engine, loopback());
+  std::thread serving([&] { server.serve(); });
+
+  // Sends the cap plus `beyond` bytes with no newline, then reads every
+  // reply line up to end of stream; throws util::IoError on a reset.
+  const auto send_overlong_line = [&](size_t beyond) {
+    util::Socket client = util::Socket::connect(server.address());
+    util::LineChannel channel(client, client);
+    const std::string chunk(64 << 10, 'x');
+    const size_t total = Server::kMaxRequestBytes + beyond;
+    for (size_t sent = 0; sent < total; sent += chunk.size()) {
+      client.write(chunk.data(), std::min(chunk.size(), total - sent));
+    }
+    std::vector<std::string> replies;
+    for (std::string line; channel.read_line(&line);) {
+      replies.push_back(line);
+    }
+    return replies;
+  };
+  for (const size_t beyond : {size_t{1}, size_t{1} << 20}) {
+    std::vector<std::string> replies;
+    try {
+      replies = send_overlong_line(beyond);
+    } catch (const util::IoError& error) {
+      ADD_FAILURE() << beyond << " bytes beyond the cap: " << error.what();
+      continue;
+    }
+    EXPECT_EQ(replies.size(), 1u) << beyond << " bytes beyond the cap";
+    if (replies.empty()) continue;
+    const util::Json response = util::Json::parse(replies.front());
+    EXPECT_EQ(status_of(response), "error");
+    EXPECT_NE(response.at("error").as_string().find(
+                  "exceeds " + std::to_string(Server::kMaxRequestBytes)),
+              std::string::npos);
+  }
+
+  server.request_stop();
+  serving.join();
 }
 
 TEST(ServerSocketServe, CoalescesConcurrentIdenticalRequests) {
