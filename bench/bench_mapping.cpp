@@ -158,9 +158,7 @@ void BM_BnbSearchOnly(benchmark::State& state) {
   const auto gemms = workload::extract_gemms(vgg8_model());
   const core::CostMatrix costs = sim.build_cost_matrix(gemms);
   core::MappingProblem problem{&gemms, &costs, costs.num_subarchs()};
-  const core::BranchBoundMapper bnb(
-      core::ObjectiveSpec::parse("edp"),
-      /*num_threads=*/static_cast<int>(state.range(0)));
+  const core::BranchBoundMapper bnb(core::ObjectiveSpec::parse("edp"));
   core::BranchBoundMapper::Stats stats;
   for (auto _ : state) {
     benchmark::DoNotOptimize(bnb.map_counted(problem, &stats));
@@ -170,7 +168,7 @@ void BM_BnbSearchOnly(benchmark::State& state) {
   state.counters["total_assignments"] = stats.total_assignments;
   report_arena(state);
 }
-BENCHMARK(BM_BnbSearchOnly)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BnbSearchOnly)->Unit(benchmark::kMicrosecond);
 
 /// The fig11 heterogeneous sweep (SCATTER + MZI over a DseSpace) with the
 /// cost-matrix cache off (arg 0) vs shared across the whole run (arg 1).

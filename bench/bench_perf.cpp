@@ -231,15 +231,13 @@ BENCHMARK(BM_BatchWarmParallel)
 void BM_ParallelForScaling(benchmark::State& state) {
   constexpr size_t kItems = 1024;
   constexpr int kSpin = 2000;
-  util::ThreadPool pool(
-      util::ThreadPool::workers_for(static_cast<int>(state.range(0)),
-                                    kItems));
+  const int threads = static_cast<int>(state.range(0));
   std::atomic<double> sink{0.0};
   const util::ThreadPool::BulkStats before =
       util::ThreadPool::global_bulk_stats();
   for (auto _ : state) {
     std::atomic<double>* acc = &sink;
-    pool.parallel_for(kItems, [acc](size_t i) {
+    util::parallel_for(kItems, threads, [acc](size_t i) {
       double x = static_cast<double>(i % 97) + 1.0;
       for (int r = 0; r < kSpin; ++r) x = std::sqrt(x * x + 1.0);
       acc->store(x, std::memory_order_relaxed);

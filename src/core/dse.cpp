@@ -1244,19 +1244,15 @@ DseResult run_strategy_engine(
     // bit-identical on any thread.  One failed point — or a throwing
     // progress observer — stops new chunks being claimed, and the lowest
     // failing point's exception reaches the caller.
-    const unsigned pool_threads = util::ThreadPool::workers_for(
-        options.num_threads, fresh_candidate.size());
-    {
-      util::ThreadPool pool(pool_threads);
-      pool.parallel_for(fresh_candidate.size(), [&](size_t u) {
-        const ExploreStrategy::Candidate& c = batch[fresh_candidate[u]];
-        DsePoint& out = store[fresh_slot[u]];
-        out = evaluate(c.params, c.fidelity);
-        out.index = c.index;
-        out.rung = c.rung;
-        report_progress(out, c.fidelity);
-      });
-    }
+    util::parallel_for(
+        fresh_candidate.size(), options.num_threads, [&](size_t u) {
+          const ExploreStrategy::Candidate& c = batch[fresh_candidate[u]];
+          DsePoint& out = store[fresh_slot[u]];
+          out = evaluate(c.params, c.fidelity);
+          out.index = c.index;
+          out.rung = c.rung;
+          report_progress(out, c.fidelity);
+        });
 
     std::vector<DsePoint> results;
     results.reserve(batch.size());

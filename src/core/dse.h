@@ -8,7 +8,7 @@
 // (energy, latency, area).
 //
 // The engine is parallel: the point list is enumerated (or sampled) up
-// front, points are evaluated on a util::ThreadPool with indexed result
+// front, points are evaluated by util::parallel_for with indexed result
 // writes (the output order is the canonical point order, independent of
 // thread count and bit-identical to a serial run), per-point invariants
 // (PTC template, device library, extracted GEMMs) are shared immutably
@@ -156,12 +156,12 @@ struct ArchParamsHash {
 };
 
 /// Knobs for the exploration engine.  The inherited CommonOptions block
-/// (core/options.h) carries num_threads (worker threads evaluating
-/// design points), cost_cache (cross-point cost-matrix memoization — see
-/// the field's doc in CommonOptions; only consulted when `mapper` needs
-/// costs), and on_progress, which fires once per completed evaluation
-/// with Progress::point set for every full-fidelity point (memo hits
-/// included): the stream --out writes from.
+/// (core/options.h) carries num_threads (threads evaluating design
+/// points, the caller included), cost_cache (cross-point cost-matrix
+/// memoization — see the field's doc in CommonOptions; only consulted
+/// when `mapper` needs costs), and on_progress, which fires once per
+/// completed evaluation with Progress::point set for every full-fidelity
+/// point (memo hits included): the stream --out writes from.
 struct DseOptions : CommonOptions {
   /// Memoize evaluations by ArchParams so duplicate grid points (collapsed
   /// axes, repeated sweep values) are simulated once.
@@ -181,8 +181,8 @@ struct DseOptions : CommonOptions {
   /// Most useful with the multi-template explore() overload, where every
   /// point materializes one sub-architecture per template.  Not owned;
   /// must be thread-safe (Mapper::map is const) and outlive the call.
-  /// Prefer serial mappers (e.g. BeamMapper's default num_threads = 1)
-  /// so pool workers are not oversubscribed.
+  /// Every mapper searches serially; the point loop is the parallel
+  /// level.
   const Mapper* mapper = nullptr;
 
   /// Optional point-list strategy (random / Latin-hypercube sampling for

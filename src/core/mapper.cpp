@@ -1,12 +1,10 @@
 #include "core/mapper.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
 #include "util/arena.h"
-#include "util/thread_pool.h"
 
 namespace simphony::core {
 
@@ -281,15 +279,11 @@ bool candidate_less(const Candidate& a, const Candidate& b,
 
 }  // namespace
 
-BeamMapper::BeamMapper(size_t width, ObjectiveSpec objective, int num_threads)
+BeamMapper::BeamMapper(size_t width, ObjectiveSpec objective)
     : width_(width),
-      objective_(require_mapper_spec(std::move(objective), "BeamMapper")),
-      num_threads_(num_threads) {
+      objective_(require_mapper_spec(std::move(objective), "BeamMapper")) {
   if (width_ == 0) {
     throw std::invalid_argument("BeamMapper width must be >= 1");
-  }
-  if (num_threads_ < 0) {
-    throw std::invalid_argument("BeamMapper num_threads must be >= 0");
   }
 }
 
@@ -299,11 +293,6 @@ Mapping BeamMapper::map(const MappingProblem& problem) const {
   const CostMatrix& costs = *problem.costs;
   const size_t n = costs.num_gemms();
   const size_t S = costs.num_subarchs();
-
-  // Engine-wide thread-count convention (0 = one worker per hardware
-  // thread, 1 = serial inline execution); never more workers than beam
-  // states to expand.
-  util::ThreadPool pool(util::ThreadPool::workers_for(num_threads_, width_));
 
   // The whole search state lives in the thread-local scratch arena as flat
   // rows — beam assignments are `width_` rows of `n` slots, so a layer
@@ -332,9 +321,9 @@ Mapping BeamMapper::map(const MappingProblem& problem) const {
 
     // Expand every beam state by every sub-arch choice.  Each state owns
     // an indexed slot range of the candidate array (every slot written,
-    // valid or not), so the array contents are identical for any thread
-    // count; scoring a pair is pure arithmetic on the SoA cost rows.
-    pool.parallel_for(beam_size, [&](size_t b) {
+    // valid or not); scoring a pair is pure arithmetic on the SoA cost
+    // rows.
+    for (size_t b = 0; b < beam_size; ++b) {
       for (size_t s = 0; s < S; ++s) {
         Candidate& cand = candidates[b * S + s];
         if (feasible[s] == 0) {
@@ -348,7 +337,7 @@ Mapping BeamMapper::map(const MappingProblem& problem) const {
         cand.latency_ns = cur_latency[b] + row_latency[s];
         cand.score = objective_.mapper_score(cand.energy_pJ, cand.latency_ns);
       }
-    });
+    }
 
     size_t num_valid = 0;
     for (size_t i = 0; i < beam_size * S; ++i) {
@@ -391,7 +380,7 @@ Mapping BeamMapper::map(const MappingProblem& problem) const {
 
 namespace {
 
-/// State shared by every subtree of one branch-and-bound search.
+/// The fixed inputs of one branch-and-bound search.
 struct BnbContext {
   const CostMatrix* costs = nullptr;
   const ObjectiveSpec* objective = nullptr;
@@ -457,25 +446,15 @@ double bnb_safe_bound(double bound) {
   return bound - std::abs(bound) * kSlack;
 }
 
-/// Lock-free monotone minimum on the shared pruning bound.  The bound only
-/// ever tightens, and pruning is strict (> only), so the timing of updates
-/// affects how much work is skipped but never which mapping wins.
-void bnb_relax(std::atomic<double>& bound, double score) {
-  double current = bound.load(std::memory_order_relaxed);
-  while (score < current &&
-         !bound.compare_exchange_weak(current, score,
-                                      std::memory_order_relaxed)) {
-  }
-}
-
-/// Serial DFS under one subtree.  `path` holds the assignment prefix;
-/// prefix sums accumulate left to right, which keeps the floating-point
-/// summation order identical to ExhaustiveMapper's per-candidate loop.
+/// Depth-first search under a prefix.  `path` holds the assignment
+/// prefix; prefix sums accumulate left to right, which keeps the
+/// floating-point summation order identical to ExhaustiveMapper's
+/// per-candidate loop.  `bound` is the incumbent score; it only ever
+/// tightens, and pruning is strict (> only).
 void bnb_dfs(const BnbContext& ctx, size_t depth, double energy,
              double latency, std::vector<size_t>& path, BnbBest& local,
-             std::atomic<double>& bound, BranchBoundMapper::Stats& stats) {
-  if (bnb_safe_bound(bnb_bound(ctx, depth, energy, latency)) >
-      bound.load(std::memory_order_relaxed)) {
+             double& bound, BranchBoundMapper::Stats& stats) {
+  if (bnb_safe_bound(bnb_bound(ctx, depth, energy, latency)) > bound) {
     ++stats.pruned;
     return;
   }
@@ -488,7 +467,7 @@ void bnb_dfs(const BnbContext& ctx, size_t depth, double energy,
       local.energy_pJ = energy;
       local.latency_ns = latency;
       local.assignment = path;
-      bnb_relax(bound, score);
+      bound = std::min(bound, score);
     }
     return;
   }
@@ -506,15 +485,9 @@ void bnb_dfs(const BnbContext& ctx, size_t depth, double energy,
 
 }  // namespace
 
-BranchBoundMapper::BranchBoundMapper(ObjectiveSpec objective, int num_threads)
+BranchBoundMapper::BranchBoundMapper(ObjectiveSpec objective)
     : objective_(
-          require_mapper_spec(std::move(objective), "BranchBoundMapper")),
-      num_threads_(num_threads) {
-  if (num_threads_ < 0) {
-    throw std::invalid_argument(
-        "BranchBoundMapper num_threads must be >= 0");
-  }
-}
+          require_mapper_spec(std::move(objective), "BranchBoundMapper")) {}
 
 Mapping BranchBoundMapper::map(const MappingProblem& problem) const {
   return map_counted(problem, nullptr);
@@ -555,103 +528,27 @@ Mapping BranchBoundMapper::map_counted(const MappingProblem& problem,
   // Incumbent seed: GreedyMapper's per-layer argmin (optimal for
   // additive objectives, a strong start for EDP) — reused outright so
   // its tie-break and left-to-right summation order can never drift
-  // from the pruning argument that relies on them.  The seed's score
-  // enters the shared pruning bound; the assignment itself joins the
-  // final reduction, though the DFS always re-finds it (no ancestor of
-  // an incumbent-score leaf can exceed the bound, and pruning is
-  // strict).
-  BnbBest seed;
+  // from the pruning argument that relies on them.  The seed's score is
+  // the initial pruning bound; the assignment itself joins the final
+  // comparison, though the DFS always re-finds it (no ancestor of an
+  // incumbent-score leaf can exceed the bound, and pruning is strict).
+  BnbBest winner;
   {
     Mapping greedy = GreedyMapper(objective_).map(problem);
-    seed.valid = true;
-    seed.score = greedy.predicted_cost;
-    seed.energy_pJ = greedy.predicted_energy_pJ;
-    seed.latency_ns = greedy.predicted_latency_ns;
-    seed.assignment = std::move(greedy.assignment);
+    winner.valid = true;
+    winner.score = greedy.predicted_cost;
+    winner.energy_pJ = greedy.predicted_energy_pJ;
+    winner.latency_ns = greedy.predicted_latency_ns;
+    winner.assignment = std::move(greedy.assignment);
   }
-  std::atomic<double> bound{seed.score};
+  double bound = winner.score;
 
-  // Engine-wide thread-count convention (0 = one worker per hardware
-  // thread; workers_for returns 0 — inline — for a serial request).
-  const unsigned pool_threads = util::ThreadPool::workers_for(
-      num_threads_, std::numeric_limits<size_t>::max());
-
-  BnbBest winner = seed;
-  if (pool_threads == 0 || ctx.n == 0) {
-    BnbBest local;
-    std::vector<size_t> path;
-    path.reserve(ctx.n);
-    bnb_dfs(ctx, 0, 0.0, 0.0, path, local, bound, local_stats);
-    if (local.valid &&
-        bnb_better(local.score, local.assignment, winner)) {
-      winner = std::move(local);
-    }
-  } else {
-    // Split the tree at a fixed small depth into its lex-ordered feasible
-    // prefixes; each prefix's subtree runs as one pool task.  Workers
-    // share only the monotone pruning bound, so each subtree's winner is
-    // independent of scheduling, and the reduction below is a pure
-    // (score, lexicographic) fold — bit-identical for any thread count.
-    size_t depth = 0;
-    size_t width = 1;
-    while (depth < ctx.n && width < 4 * static_cast<size_t>(pool_threads) &&
-           width <= 4096 / std::max<size_t>(ctx.S, 1)) {
-      ++depth;
-      width *= ctx.S;
-    }
-    struct SubtreeRoot {
-      std::vector<size_t> path;
-      double energy_pJ = 0.0;
-      double latency_ns = 0.0;
-    };
-    std::vector<SubtreeRoot> roots;
-    {
-      SubtreeRoot root;
-      std::vector<SubtreeRoot> frontier{root};
-      for (size_t level = 0; level < depth; ++level) {
-        const std::uint8_t* feasible = costs.feasible_row(level);
-        const double* row_energy = costs.energy_row(level);
-        const double* row_latency = costs.latency_row(level);
-        std::vector<SubtreeRoot> next;
-        next.reserve(frontier.size() * ctx.S);
-        for (const SubtreeRoot& r : frontier) {
-          for (size_t s = 0; s < ctx.S; ++s) {
-            if (feasible[s] == 0) continue;
-            SubtreeRoot child;
-            child.path = r.path;
-            child.path.push_back(s);
-            child.energy_pJ = r.energy_pJ + row_energy[s];
-            child.latency_ns = r.latency_ns + row_latency[s];
-            next.push_back(std::move(child));
-          }
-        }
-        frontier = std::move(next);
-      }
-      roots = std::move(frontier);
-    }
-
-    // One chunked parallel_for over the subtree roots (the caller
-    // participates; participants steal chunks of roots as their own run
-    // dry).  Each root writes only its own indexed slots, so the reduction
-    // below sees the same per-root winners for any thread count.
-    std::vector<BnbBest> locals(roots.size());
-    std::vector<Stats> task_stats(roots.size());
-    util::ThreadPool pool(pool_threads);
-    pool.parallel_for(roots.size(), [&](size_t r) {
-      std::vector<size_t> path = roots[r].path;
-      path.reserve(ctx.n);
-      bnb_dfs(ctx, depth, roots[r].energy_pJ, roots[r].latency_ns, path,
-              locals[r], bound, task_stats[r]);
-    });
-
-    for (size_t r = 0; r < roots.size(); ++r) {
-      local_stats.visited += task_stats[r].visited;
-      local_stats.pruned += task_stats[r].pruned;
-      if (locals[r].valid &&
-          bnb_better(locals[r].score, locals[r].assignment, winner)) {
-        winner = std::move(locals[r]);
-      }
-    }
+  BnbBest local;
+  std::vector<size_t> path;
+  path.reserve(ctx.n);
+  bnb_dfs(ctx, 0, 0.0, 0.0, path, local, bound, local_stats);
+  if (local.valid && bnb_better(local.score, local.assignment, winner)) {
+    winner = std::move(local);
   }
 
   if (stats != nullptr) *stats = local_stats;

@@ -17,9 +17,7 @@
 //   * BeamMapper       — width-k beam over the layer order, tracking
 //                        prefix (energy, latency) sums.  Equivalent to
 //                        exhaustive search whenever k >= S^(n-1) for S
-//                        sub-arches and n GEMMs; parallelized on
-//                        util::ThreadPool with results bit-identical for
-//                        any thread count.
+//                        sub-arches and n GEMMs.
 //   * BranchBoundMapper — depth-first assignment search with admissible
 //                        lower bounds and a greedy incumbent.  Exact (equal
 //                        to ExhaustiveMapper bit for bit on every
@@ -335,16 +333,12 @@ class GreedyMapper final : public Mapper {
 /// number of distinct prefixes after layer i is S^i, so any width
 /// k >= S^(n-1) never prunes and the result equals full enumeration.
 ///
-/// Candidate expansion is parallelized on util::ThreadPool with indexed
-/// writes followed by a total-order sort, so the chosen mapping is
-/// bit-identical for any num_threads (0 = one worker per hardware thread,
-/// 1 = serial; serial is the default so nesting inside DSE workers does
-/// not oversubscribe).
+/// The search is serial: parallelism lives one level up, in the DSE
+/// point loop and simulate_batch's model loop.
 class BeamMapper final : public Mapper {
  public:
   /// Throws std::invalid_argument unless objective.mapper_compatible().
-  explicit BeamMapper(size_t width = 8, ObjectiveSpec objective = {},
-                      int num_threads = 1);
+  explicit BeamMapper(size_t width = 8, ObjectiveSpec objective = {});
 
   [[nodiscard]] std::string name() const override { return "beam"; }
   [[nodiscard]] size_t width() const { return width_; }
@@ -354,7 +348,6 @@ class BeamMapper final : public Mapper {
  private:
   size_t width_;
   ObjectiveSpec objective_;
-  int num_threads_;
 };
 
 /// Exact depth-first branch-and-bound over the layer order.
@@ -379,13 +372,7 @@ class BeamMapper final : public Mapper {
 /// floating-point summation order — without the S^n enumeration limit.
 ///
 /// The incumbent is seeded from GreedyMapper's assignment before the
-/// search starts.  With num_threads != 1 the tree is split into the
-/// lex-ordered feasible prefixes of a small fixed depth, subtrees are
-/// searched on a util::ThreadPool against a shared atomic bound, and the
-/// per-subtree winners are reduced in prefix order — the chosen mapping is
-/// bit-identical for any thread count (0 = one worker per hardware
-/// thread; the default 1 stays serial so nesting inside DSE workers does
-/// not oversubscribe).
+/// search starts.  The search is serial, like BeamMapper's.
 class BranchBoundMapper final : public Mapper {
  public:
   /// Search effort counters (map_counted): subtree roots the DFS expanded
@@ -400,8 +387,7 @@ class BranchBoundMapper final : public Mapper {
   /// Bounds stay admissible because every mapper-compatible metric is
   /// monotone nondecreasing in the prefix (energy, latency) totals — see
   /// ObjectiveSpec::mapper_compatible.
-  explicit BranchBoundMapper(ObjectiveSpec objective = {},
-                             int num_threads = 1);
+  explicit BranchBoundMapper(ObjectiveSpec objective = {});
 
   [[nodiscard]] std::string name() const override { return "bnb"; }
   [[nodiscard]] const ObjectiveSpec& objective() const { return objective_; }
@@ -413,7 +399,6 @@ class BranchBoundMapper final : public Mapper {
 
  private:
   ObjectiveSpec objective_;
-  int num_threads_;
 };
 
 /// Full S^n enumeration — exact but exponential; the oracle used to test

@@ -36,10 +36,11 @@ struct Progress {
 /// DseOptions (and mirrored, value-only, by the serializable request
 /// types in core/engine.h).
 struct CommonOptions {
-  /// Worker threads, resolved through util::ThreadPool::workers_for —
-  /// the engine-wide convention: 0 = one per hardware thread, 1 = serial
-  /// on the calling thread, negative throws std::invalid_argument from
-  /// the entry point.
+  /// Threads running the call's parallel loop, the calling thread
+  /// included, resolved through util::ThreadPool::workers_for — the
+  /// engine-wide convention: 0 = one per hardware thread, 1 = serial on
+  /// the calling thread, negative throws std::invalid_argument from the
+  /// entry point.
   int num_threads = 0;
 
   /// Optional cross-call memoization of per-(sub-arch, GEMM) cost-matrix

@@ -469,18 +469,6 @@ BatchReport Simulator::simulate_batch(const WorkloadSet& workloads,
   BatchReport batch;
   batch.models.resize(workloads.size());
 
-  // One chunked parallel_for over the models (the caller participates;
-  // each index is exactly an independent simulate_gemms call — per-model
-  // memory sizing, per-model mapping search — writing its own slot), so
-  // results are bit-identical to K separate runs whichever participant
-  // picks a model up.  The architecture, the thread-safe cost-matrix
-  // cache (options_.cost_cache), and the Mapper (const, thread-safe per
-  // its contract) are the shared, read-only state.  On a failure no new
-  // models start and the lowest failing model's diagnostic reaches the
-  // caller.
-  util::ThreadPool pool(
-      util::ThreadPool::workers_for(options.num_threads, workloads.size()));
-
   // One callback per completed model (CommonOptions contract): the mutex
   // keeps the completed count strictly increasing, ending at size().
   std::mutex progress_mutex;
@@ -491,7 +479,16 @@ BatchReport Simulator::simulate_batch(const WorkloadSet& workloads,
     options.on_progress(Progress{++completed, workloads.size()});
   };
 
-  pool.parallel_for(workloads.size(), [&](size_t i) {
+  // One chunked parallel_for over the models (the caller participates;
+  // each index is exactly an independent simulate_gemms call — per-model
+  // memory sizing, per-model mapping search — writing its own slot), so
+  // results are bit-identical to K separate runs whichever participant
+  // picks a model up.  The architecture, the thread-safe cost-matrix
+  // cache (options_.cost_cache), and the Mapper (const, thread-safe per
+  // its contract) are the shared, read-only state.  On a failure no new
+  // models start and the lowest failing model's diagnostic reaches the
+  // caller.
+  util::parallel_for(workloads.size(), options.num_threads, [&](size_t i) {
     const WorkloadSet::Entry& entry = workloads.at(i);
     BatchReport::ModelResult& slot = batch.models[i];
     slot.name = entry.name;

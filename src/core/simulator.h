@@ -42,14 +42,12 @@ struct SimulationOptions : CommonOptions {
 };
 
 /// Per-call knobs for Simulator::simulate_batch — exactly the shared
-/// CommonOptions block.  num_threads: models simulated concurrently on a
-/// util::ThreadPool (never more workers than models; with a parallel
-/// batch, prefer serial mappers — a mapper running its own pool inside
-/// every batch worker oversubscribes the machine).  cost_cache: when
-/// non-null, overrides the Simulator's SimulationOptions attachment for
-/// this batch.  on_progress fires once per completed model (strictly
-/// increasing count under one mutex, ending at size(); Progress::point
-/// stays null).
+/// CommonOptions block.  num_threads: models simulated concurrently by
+/// util::parallel_for (never more participants than models).
+/// cost_cache: when non-null, overrides the Simulator's SimulationOptions
+/// attachment for this batch.  on_progress fires once per completed model
+/// (strictly increasing count under one mutex, ending at size();
+/// Progress::point stays null).
 struct BatchOptions : CommonOptions {};
 
 /// Totals-only result of the simulate_gemms flow: exactly the figures the
@@ -166,7 +164,7 @@ class Simulator {
   /// Batched multi-model simulation: every model of the set runs against
   /// THIS architecture — constructed (sub-arches materialized, device
   /// groups resolved) once, when the Simulator was built — with per-model
-  /// parallelism on a util::ThreadPool and SimulationOptions::cost_cache
+  /// parallelism on util::parallel_for and SimulationOptions::cost_cache
   /// (when set) shared across the whole batch.
   ///
   /// Each model follows exactly the simulate_gemms flow on its

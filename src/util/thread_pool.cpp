@@ -1,6 +1,8 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <deque>
 #include <exception>
 #include <stdexcept>
 
@@ -8,11 +10,10 @@ namespace simphony::util {
 
 namespace {
 
-/// The pool whose worker_loop is running on this thread (nullptr on
-/// non-worker threads).  Lets parallel_for detect nesting into its own
-/// pool, which must degrade to inline execution instead of waiting on a
-/// queue only this thread could drain.
-thread_local const ThreadPool* t_current_pool = nullptr;
+/// True on the process-wide executor's workers.  Lets parallel_for run
+/// a nested loop inline instead of queueing helpers behind the very
+/// loop this thread is helping with.
+thread_local bool t_executor_worker = false;
 
 struct GlobalBulkCounters {
   std::atomic<uint64_t> dispatches{0};
@@ -27,12 +28,11 @@ GlobalBulkCounters& global_counters() {
   return counters;
 }
 
-}  // namespace
-
-/// Shared state of one parallel_for dispatch.  Stack-allocated by
-/// run_bulk, which outlives every participant (the caller participates,
-/// then joins the worker futures), so raw references are safe.
-struct ThreadPool::BulkControl {
+/// Shared state of one parallel_for dispatch.  The caller and every
+/// helper job hold it through a shared_ptr: a helper that only starts
+/// after its caller returned must still find `closed` to turn into a
+/// no-op, and must never touch `ctx` (the caller's stack).
+struct BulkControl {
   /// One contiguous slice of [0, n) owned by one participant.  The cursor
   /// is padded to its own cache line: neighbors' fetch_adds must not
   /// false-share.
@@ -44,18 +44,140 @@ struct ThreadPool::BulkControl {
   void (*invoke)(void*, size_t) = nullptr;
   void* ctx = nullptr;
   size_t chunk = 1;
-  std::vector<Segment> segments;  // one per participant (workers + caller)
+  std::vector<Segment> segments;  // one per participant (helpers + caller)
 
   std::atomic<bool> failed{false};
-  std::mutex error_mutex;
-  std::exception_ptr error;
-  size_t error_index = 0;
-  bool has_error = false;
-
   std::atomic<uint64_t> chunks{0};
   std::atomic<uint64_t> steals{0};
   std::atomic<uint64_t> items{0};
+
+  std::mutex mutex;  // guards everything below
+  std::condition_variable helpers_done;
+  bool closed = false;  // the caller stopped admitting helpers
+  size_t running = 0;   // helpers admitted and not yet finished
+  std::exception_ptr error;
+  size_t error_index = 0;
 };
+
+/// Claims and runs chunks: own segment first, then steals round-robin
+/// from the others.  Returns once every segment is exhausted or a body
+/// threw.
+void bulk_work(BulkControl& control, size_t participant) noexcept {
+  const size_t participants = control.segments.size();
+  for (size_t offset = 0; offset < participants; ++offset) {
+    BulkControl::Segment& segment =
+        control.segments[(participant + offset) % participants];
+    for (;;) {
+      if (control.failed.load(std::memory_order_relaxed)) return;
+      const size_t begin =
+          segment.next.fetch_add(control.chunk, std::memory_order_relaxed);
+      if (begin >= segment.end) break;
+      const size_t end = std::min(begin + control.chunk, segment.end);
+      control.chunks.fetch_add(1, std::memory_order_relaxed);
+      if (offset != 0) control.steals.fetch_add(1, std::memory_order_relaxed);
+      control.items.fetch_add(end - begin, std::memory_order_relaxed);
+      for (size_t i = begin; i < end; ++i) {
+        try {
+          control.invoke(control.ctx, i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(control.mutex);
+          if (!control.error || i < control.error_index) {
+            control.error_index = i;
+            control.error = std::current_exception();
+          }
+          control.failed.store(true, std::memory_order_relaxed);
+          return;
+        }
+      }
+    }
+  }
+}
+
+/// A helper job: joins its dispatch unless the caller already closed it.
+void help(BulkControl& control, size_t participant) {
+  {
+    std::lock_guard<std::mutex> lock(control.mutex);
+    if (control.closed) return;
+    ++control.running;
+  }
+  bulk_work(control, participant);
+  std::lock_guard<std::mutex> lock(control.mutex);
+  if (--control.running == 0) control.helpers_done.notify_all();
+}
+
+/// Stops admitting helpers and waits for the admitted ones to finish.
+/// Afterwards no helper can reach the dispatch's `ctx`.
+void close(BulkControl& control) {
+  std::unique_lock<std::mutex> lock(control.mutex);
+  control.closed = true;
+  control.helpers_done.wait(lock, [&control] { return control.running == 0; });
+}
+
+/// The process-wide worker set behind parallel_for.  Created on the first
+/// pooled dispatch (a function-local static), joined at exit.
+class Executor {
+ public:
+  static Executor& instance() {
+    static Executor executor;
+    return executor;
+  }
+
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
+
+  ~Executor() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stopping_ = true;
+    }
+    job_ready_.notify_all();
+    for (std::thread& worker : workers_) worker.join();
+  }
+
+  /// Grows the worker set to at least `helpers` threads and queues one
+  /// helper job per participant index in [1, helpers].
+  void enqueue(const std::shared_ptr<BulkControl>& control, size_t helpers) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      while (workers_.size() < helpers) {
+        workers_.emplace_back([this] { worker_loop(); });
+      }
+      for (size_t p = 1; p <= helpers; ++p) jobs_.push_back({control, p});
+    }
+    for (size_t p = 0; p < helpers; ++p) job_ready_.notify_one();
+  }
+
+ private:
+  struct Job {
+    std::shared_ptr<BulkControl> control;
+    size_t participant = 0;
+  };
+
+  Executor() = default;
+
+  void worker_loop() {
+    t_executor_worker = true;
+    for (;;) {
+      Job job;
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        job_ready_.wait(lock, [this] { return stopping_ || !jobs_.empty(); });
+        if (jobs_.empty()) return;  // stopping_ and drained
+        job = std::move(jobs_.front());
+        jobs_.pop_front();
+      }
+      help(*job.control, job.participant);
+    }
+  }
+
+  std::mutex mutex_;  // guards workers_, jobs_ and stopping_
+  std::condition_variable job_ready_;
+  std::deque<Job> jobs_;
+  bool stopping_ = false;
+  std::vector<std::thread> workers_;
+};
+
+}  // namespace
 
 ThreadPool::ThreadPool(unsigned num_threads) {
   workers_.reserve(num_threads);
@@ -71,16 +193,6 @@ ThreadPool::~ThreadPool() {
   }
   task_ready_.notify_all();
   for (auto& worker : workers_) worker.join();
-}
-
-void ThreadPool::cancel() {
-  std::queue<MoveOnlyTask> discarded;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.swap(discarded);
-  }
-  // `discarded` destructs outside the lock: dropping a packaged_task breaks
-  // its promise, which may run arbitrary future-observer code.
 }
 
 unsigned ThreadPool::hardware_threads() {
@@ -101,7 +213,6 @@ unsigned ThreadPool::workers_for(int requested, size_t max_useful) {
 }
 
 void ThreadPool::worker_loop() {
-  t_current_pool = this;
   for (;;) {
     MoveOnlyTask task;
     {
@@ -115,124 +226,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::bulk_work(BulkControl& control, size_t participant) noexcept {
-  const size_t participants = control.segments.size();
-  // Own segment first (offset 0), then steal round-robin from the others.
-  for (size_t offset = 0; offset < participants; ++offset) {
-    BulkControl::Segment& segment =
-        control.segments[(participant + offset) % participants];
-    for (;;) {
-      if (control.failed.load(std::memory_order_relaxed)) return;
-      const size_t begin =
-          segment.next.fetch_add(control.chunk, std::memory_order_relaxed);
-      if (begin >= segment.end) break;
-      const size_t end = std::min(begin + control.chunk, segment.end);
-      control.chunks.fetch_add(1, std::memory_order_relaxed);
-      if (offset != 0) control.steals.fetch_add(1, std::memory_order_relaxed);
-      control.items.fetch_add(end - begin, std::memory_order_relaxed);
-      for (size_t i = begin; i < end; ++i) {
-        try {
-          control.invoke(control.ctx, i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(control.error_mutex);
-          if (!control.has_error || i < control.error_index) {
-            control.has_error = true;
-            control.error_index = i;
-            control.error = std::current_exception();
-          }
-          control.failed.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-    }
-  }
-}
-
-void ThreadPool::run_bulk(size_t n, void (*invoke)(void*, size_t), void* ctx,
-                          size_t min_chunk) {
-  if (n == 0) return;
-  if (min_chunk == 0) min_chunk = 1;
-  bulk_dispatches_.fetch_add(1, std::memory_order_relaxed);
-  global_counters().dispatches.fetch_add(1, std::memory_order_relaxed);
-
-  if (workers_.empty() || t_current_pool == this || n <= min_chunk) {
-    // Inline: one "chunk" on the calling thread; an exception propagates
-    // directly, so indices after it never run (same contract as pooled).
-    bulk_chunks_.fetch_add(1, std::memory_order_relaxed);
-    bulk_items_.fetch_add(n, std::memory_order_relaxed);
-    global_counters().chunks.fetch_add(1, std::memory_order_relaxed);
-    global_counters().items.fetch_add(n, std::memory_order_relaxed);
-    for (size_t i = 0; i < n; ++i) invoke(ctx, i);
-    return;
-  }
-
-  const size_t participants = workers_.size() + 1;  // workers + this thread
-  BulkControl control;
-  control.invoke = invoke;
-  control.ctx = ctx;
-  // ~8 chunks per participant balances steal granularity against cursor
-  // traffic; min_chunk caps how finely the caller's work may be split.
-  control.chunk =
-      std::max(min_chunk, n / (participants * 8) + (n % (participants * 8) != 0));
-  control.segments = std::vector<BulkControl::Segment>(participants);
-  for (size_t p = 0; p < participants; ++p) {
-    control.segments[p].next.store(n * p / participants,
-                                   std::memory_order_relaxed);
-    control.segments[p].end = n * (p + 1) / participants;
-  }
-
-  std::vector<std::future<void>> pending;
-  pending.reserve(workers_.size());
-  for (size_t p = 0; p < workers_.size(); ++p) {
-    pending.push_back(submit([&control, p] { bulk_work(control, p); }));
-  }
-  bulk_work(control, participants - 1);  // the caller participates
-
-  for (auto& f : pending) {
-    try {
-      f.get();
-    } catch (const std::future_error&) {
-      // A concurrent cancel() discarded this bulk task before it started;
-      // its segment was drained by the surviving participants (the caller
-      // above does not return until every segment is empty or a failure
-      // stops the dispatch).
-    }
-  }
-
-  const uint64_t chunks = control.chunks.load(std::memory_order_relaxed);
-  const uint64_t steals = control.steals.load(std::memory_order_relaxed);
-  const uint64_t items = control.items.load(std::memory_order_relaxed);
-  bulk_tasks_.fetch_add(workers_.size(), std::memory_order_relaxed);
-  bulk_chunks_.fetch_add(chunks, std::memory_order_relaxed);
-  bulk_steals_.fetch_add(steals, std::memory_order_relaxed);
-  bulk_items_.fetch_add(items, std::memory_order_relaxed);
-  GlobalBulkCounters& global = global_counters();
-  global.tasks.fetch_add(workers_.size(), std::memory_order_relaxed);
-  global.chunks.fetch_add(chunks, std::memory_order_relaxed);
-  global.steals.fetch_add(steals, std::memory_order_relaxed);
-  global.items.fetch_add(items, std::memory_order_relaxed);
-
-  if (control.has_error) std::rethrow_exception(control.error);
-}
-
-ThreadPool::BulkStats ThreadPool::bulk_stats() const {
-  BulkStats stats;
-  stats.dispatches = bulk_dispatches_.load(std::memory_order_relaxed);
-  stats.tasks = bulk_tasks_.load(std::memory_order_relaxed);
-  stats.chunks = bulk_chunks_.load(std::memory_order_relaxed);
-  stats.steals = bulk_steals_.load(std::memory_order_relaxed);
-  stats.items = bulk_items_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void ThreadPool::reset_bulk_stats() {
-  bulk_dispatches_.store(0, std::memory_order_relaxed);
-  bulk_tasks_.store(0, std::memory_order_relaxed);
-  bulk_chunks_.store(0, std::memory_order_relaxed);
-  bulk_steals_.store(0, std::memory_order_relaxed);
-  bulk_items_.store(0, std::memory_order_relaxed);
-}
-
 ThreadPool::BulkStats ThreadPool::global_bulk_stats() {
   GlobalBulkCounters& global = global_counters();
   BulkStats stats;
@@ -244,13 +237,64 @@ ThreadPool::BulkStats ThreadPool::global_bulk_stats() {
   return stats;
 }
 
-void ThreadPool::reset_global_bulk_stats() {
+namespace detail {
+
+void run_bulk(size_t n, int num_threads, void (*invoke)(void*, size_t),
+              void* ctx) {
+  const size_t participants = ThreadPool::workers_for(num_threads, n);
+  if (n == 0) return;
   GlobalBulkCounters& global = global_counters();
-  global.dispatches.store(0, std::memory_order_relaxed);
-  global.tasks.store(0, std::memory_order_relaxed);
-  global.chunks.store(0, std::memory_order_relaxed);
-  global.steals.store(0, std::memory_order_relaxed);
-  global.items.store(0, std::memory_order_relaxed);
+  global.dispatches.fetch_add(1, std::memory_order_relaxed);
+
+  if (participants == 0 || t_executor_worker) {
+    // Inline: one "chunk" on the calling thread; an exception propagates
+    // directly, so indices after it never run (same contract as pooled).
+    global.chunks.fetch_add(1, std::memory_order_relaxed);
+    global.items.fetch_add(n, std::memory_order_relaxed);
+    for (size_t i = 0; i < n; ++i) invoke(ctx, i);
+    return;
+  }
+
+  const auto control = std::make_shared<BulkControl>();
+  control->invoke = invoke;
+  control->ctx = ctx;
+  // ~8 chunks per participant balances steal granularity against cursor
+  // traffic.
+  control->chunk = n / (participants * 8) + (n % (participants * 8) != 0);
+  control->segments = std::vector<BulkControl::Segment>(participants);
+  for (size_t p = 0; p < participants; ++p) {
+    control->segments[p].next.store(n * p / participants,
+                                    std::memory_order_relaxed);
+    control->segments[p].end = n * (p + 1) / participants;
+  }
+
+  const size_t helpers = participants - 1;
+  try {
+    Executor::instance().enqueue(control, helpers);
+  } catch (...) {
+    close(*control);  // no helper may reach `ctx` once this frame unwinds
+    throw;
+  }
+  // The caller is the one participant certain to start at once, so it
+  // owns the first segment.
+  bulk_work(*control, 0);
+  close(*control);
+
+  global.tasks.fetch_add(helpers, std::memory_order_relaxed);
+  global.chunks.fetch_add(control->chunks.load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
+  global.steals.fetch_add(control->steals.load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
+  global.items.fetch_add(control->items.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+
+  // Take the error out of the control block, which a late helper job may
+  // still hold: the exception object is then released on this thread.
+  if (std::exception_ptr error = std::move(control->error)) {
+    std::rethrow_exception(error);
+  }
 }
+
+}  // namespace detail
 
 }  // namespace simphony::util

@@ -1,32 +1,33 @@
-// A fixed-size thread pool with two dispatch shapes: a FIFO queue of
-// move-only tasks (submit) and a chunked bulk loop with work stealing
-// (parallel_for).
+// Two executors.
 //
-// submit() serves coarse, independent jobs.  The queue stores move-only
-// callables directly (small-buffer storage, no shared_ptr + std::function
-// double indirection), so the per-task overhead is one lock plus the
-// future's shared state.
+// ThreadPool is a fixed-size FIFO queue of move-only tasks (submit) for
+// coarse, independent jobs — the Engine's admission pool.  The queue
+// stores move-only callables directly (small-buffer storage, no
+// shared_ptr + std::function double indirection), so the per-task
+// overhead is one lock plus the future's shared state.
 //
-// parallel_for() serves the many-small-tasks regime (per-point DSE
-// evaluation, beam expansion, branch-and-bound subtrees): the index range
-// is split into one contiguous segment per participant (every worker plus
-// the calling thread), each participant claims fixed-size chunks from its
-// own segment through an atomic cursor, and a participant whose segment
-// runs dry steals chunks from the others.  No per-item allocation, no
-// per-item lock.  The calling thread participates, so progress never
-// depends on workers being free.  Determinism contract: body(i) runs
-// exactly once for every i < n (no exception), and callers that write to
-// index i's slot get bit-identical results for any worker count — which
-// indices share a chunk affects timing only.
+// parallel_for() is the one bulk loop: the explore point loop and
+// simulate_batch's model loop run on it.  The index range is split into
+// one contiguous segment per participant (the calling thread plus
+// helpers), each participant claims fixed-size chunks from its own
+// segment through an atomic cursor, and a participant whose segment runs
+// dry steals chunks from the others.  No per-item allocation, no
+// per-item lock.  Determinism contract: body(i) runs exactly once for
+// every i < n (no exception), and callers that write to index i's slot
+// get bit-identical results for any participant count — which indices
+// share a chunk affects timing only.
 //
-// A pool constructed with 0 workers degenerates to inline execution on
-// the submitting thread, which makes "serial" and "parallel" callers
-// share one code path.  A parallel_for issued from inside one of this
-// pool's own workers also runs inline (a nested wait on the shared queue
-// could deadlock).
+// The helpers are the workers of one process-wide executor, created on
+// the first pooled dispatch.  It grows to the largest participant count
+// any dispatch asked for (minus the caller), never shrinks, and joins at
+// exit.  Dispatches from different threads share it: a caller drains
+// every segment of its own loop itself and then waits only for helpers
+// that actually started, so it never waits on helper tasks still queued
+// behind another caller's work.  A helper that starts after its caller
+// has finished finds the dispatch closed and does nothing.  A
+// parallel_for issued from inside an executor worker runs inline.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -141,12 +142,13 @@ class MoveOnlyTask {
 
 class ThreadPool {
  public:
-  /// Cumulative parallel_for accounting (for the thread-scaling bench
-  /// counters — see docs/performance.md).  `tasks` counts the bulk worker
-  /// jobs enqueued (tasks / dispatches is the per-dispatch fan-out, W for
-  /// a pooled dispatch, 0 inline); `chunks` the chunk claims that yielded
-  /// work; `steals` the chunks a participant claimed from another
-  /// participant's segment; `items` the body invocations.
+  /// Cumulative parallel_for accounting over the process (for the
+  /// thread-scaling bench counters — see docs/performance.md).  `tasks`
+  /// counts the helper jobs enqueued (tasks / dispatches is the
+  /// per-dispatch fan-out, participants - 1 for a pooled dispatch, 0
+  /// inline); `chunks` the chunk claims that yielded work; `steals` the
+  /// chunks a participant claimed from another participant's segment;
+  /// `items` the body invocations.
   struct BulkStats {
     uint64_t dispatches = 0;
     uint64_t tasks = 0;
@@ -155,18 +157,12 @@ class ThreadPool {
     uint64_t items = 0;
   };
 
-  /// Spawns `num_threads` workers.  0 means no workers: submit() and
-  /// parallel_for() run inline on the calling thread.
+  /// Spawns `num_threads` workers.  0 means no workers: submit() runs
+  /// inline on the calling thread.
   explicit ThreadPool(unsigned num_threads);
 
   /// Joins all workers; tasks already queued are drained first.
   ~ThreadPool();
-
-  /// Discards every task still waiting in the queue (tasks already running
-  /// finish normally).  The futures of discarded tasks report
-  /// std::future_error{broken_promise}.  Use to fail fast once one task's
-  /// outcome makes the rest pointless.
-  void cancel();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -178,21 +174,22 @@ class ThreadPool {
   /// allows it to return 0 when undetectable).
   [[nodiscard]] static unsigned hardware_threads();
 
-  /// Maps an options-level thread-count request onto a ThreadPool
-  /// constructor argument.  Every subsystem exposing a `num_threads` knob
-  /// (DseOptions, BatchOptions, BeamMapper, BranchBoundMapper) resolves it
+  /// Maps an options-level thread-count request onto a thread count.
+  /// Every `num_threads` knob (CommonOptions, Engine::Options) resolves
   /// through this one function, so `0` means exactly one thing at the
-  /// options layer — "one worker per hardware thread" — and the pool's own
-  /// `0 = inline` convention never leaks upward:
+  /// options layer — "one thread per hardware thread" — and the pool's
+  /// own `0 = inline` convention never leaks upward:
   ///
   ///   requested <  0  ->  std::invalid_argument
   ///   requested == 0  ->  hardware_threads()
-  ///   requested == 1  ->  0 (serial: inline execution, no workers)
+  ///   requested == 1  ->  0 (serial: inline execution)
   ///   requested >= 2  ->  requested
   ///
-  /// The result is clamped to `max_useful` (never more workers than work
+  /// The result is clamped to `max_useful` (never more threads than work
   /// items) and to a hard cap of 1024; a clamp down to <= 1 also
-  /// degenerates to inline execution.
+  /// degenerates to inline execution.  For parallel_for a nonzero
+  /// result is the participant count, the calling thread included; for
+  /// a ThreadPool it is the worker count.
   [[nodiscard]] static unsigned workers_for(int requested, size_t max_useful);
 
   /// Enqueues a nullary callable; the returned future yields its result or
@@ -215,59 +212,46 @@ class ThreadPool {
     return result;
   }
 
-  /// Runs body(i) exactly once for every i in [0, n), distributing chunks
-  /// of at least `min_chunk` consecutive indices across the workers and
-  /// the calling thread; returns when every index has run.  `body` must be
-  /// invocable concurrently from multiple threads; writes it makes to
-  /// index-addressed slots are bit-identical for any worker count.
-  ///
-  /// Runs inline (plain serial loop) when the pool has no workers, when
-  /// n <= min_chunk, or when called from inside one of this pool's own
-  /// worker threads (a nested pooled wait could deadlock on the shared
-  /// queue).
-  ///
-  /// On an exception from `body`, no new chunks are claimed, in-flight
-  /// chunks stop at their next index boundary, and the exception of the
-  /// lowest failing index is rethrown here; indices after the failure may
-  /// never run.
-  template <typename F>
-  void parallel_for(size_t n, F&& body, size_t min_chunk = 1) {
-    using Fn = std::remove_reference_t<F>;
-    run_bulk(
-        n, [](void* ctx, size_t i) { (*static_cast<Fn*>(ctx))(i); },
-        const_cast<void*>(static_cast<const void*>(std::addressof(body))),
-        min_chunk);
-  }
-
-  /// This pool's cumulative parallel_for counters.
-  [[nodiscard]] BulkStats bulk_stats() const;
-  void reset_bulk_stats();
-
-  /// Process-wide counters aggregated over every pool (benchmarks read
-  /// these to report scheduling behavior of pools buried inside the DSE
-  /// engine or a mapper).
+  /// Process-wide parallel_for counters.
   [[nodiscard]] static BulkStats global_bulk_stats();
-  static void reset_global_bulk_stats();
 
  private:
-  struct BulkControl;
-
   void worker_loop();
-  void run_bulk(size_t n, void (*invoke)(void*, size_t), void* ctx,
-                size_t min_chunk);
-  static void bulk_work(BulkControl& control, size_t participant) noexcept;
 
   std::vector<std::thread> workers_;
   std::queue<MoveOnlyTask> tasks_;
   std::mutex mutex_;
   std::condition_variable task_ready_;
   bool stopping_ = false;
-
-  std::atomic<uint64_t> bulk_dispatches_{0};
-  std::atomic<uint64_t> bulk_tasks_{0};
-  std::atomic<uint64_t> bulk_chunks_{0};
-  std::atomic<uint64_t> bulk_steals_{0};
-  std::atomic<uint64_t> bulk_items_{0};
 };
+
+namespace detail {
+void run_bulk(size_t n, int num_threads, void (*invoke)(void*, size_t),
+              void* ctx);
+}  // namespace detail
+
+/// Runs body(i) exactly once for every i in [0, n) and returns when every
+/// index has run.  `num_threads` follows ThreadPool::workers_for and
+/// counts participants, the calling thread included (1 = a plain serial
+/// loop on the caller; negative throws std::invalid_argument before any
+/// index runs).  `body` must be invocable concurrently from multiple
+/// threads; writes it makes to index-addressed slots are bit-identical
+/// for any participant count.
+///
+/// Runs inline when the request resolves to one participant, or when
+/// called from inside an executor worker (a nested loop gains nothing
+/// over the outer one that already keeps the workers busy).
+///
+/// On an exception from `body`, no new chunks are claimed, in-flight
+/// chunks stop at their next index boundary, and the exception of the
+/// lowest failing index is rethrown here; indices after the failure may
+/// never run.
+template <typename F>
+void parallel_for(size_t n, int num_threads, F&& body) {
+  using Fn = std::remove_reference_t<F>;
+  detail::run_bulk(
+      n, num_threads, [](void* ctx, size_t i) { (*static_cast<Fn*>(ctx))(i); },
+      const_cast<void*>(static_cast<const void*>(std::addressof(body))));
+}
 
 }  // namespace simphony::util

@@ -28,12 +28,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "arch/prebuilt.h"
 #include "core/mapper.h"
 #include "core/simulator.h"
 #include "core/workload_set.h"
 #include "util/arena.h"
+#include "util/thread_pool.h"
 #include "workload/onn_convert.h"
 
 namespace {
@@ -113,36 +115,46 @@ std::uint64_t count_allocations(F&& f) {
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
-/// Measures warm-path allocations per design point for `mapper` and
-/// checks the two O(1) properties: the per-point cost is (a) identical
-/// at different repeat counts (no growth with sweep length) and (b)
-/// below an absolute budget.
+/// Measures warm-path allocations per design point and checks the two
+/// O(1) properties: the per-point cost is (a) identical at different
+/// repeat counts (no growth with sweep length) and (b) below an absolute
+/// budget.  `run(k)` evaluates k design points.
+template <typename Run>
+void expect_constant_allocs(const std::string& label, Run&& run,
+                            std::uint64_t budget) {
+  for (int i = 0; i < 4; ++i) run(16);  // warm cache + arenas + tables
+
+  const std::uint64_t short_run = count_allocations([&] { run(8); });
+  const std::uint64_t long_run = count_allocations([&] { run(64); });
+  const double per_point_short = static_cast<double>(short_run) / 8.0;
+  const double per_point_long = static_cast<double>(long_run) / 64.0;
+  std::printf("[alloc-count] %s: %.1f allocs/point (short run %.1f)\n",
+              label.c_str(), per_point_long, per_point_short);
+  // (a) steady state: the long run may not cost more per point than the
+  // short one (one point of slack absorbs hash-table jitter).
+  EXPECT_LE(per_point_long, per_point_short + 1.0) << label;
+  // (b) absolute budget, constant w.r.t. sweep length.
+  EXPECT_LE(per_point_long, static_cast<double>(budget)) << label;
+}
+
+/// One warm design point: the sweep's per-point evaluation.
+void evaluate_point(const Simulator& sim, const WorkloadSet::Entry& entry,
+                    const Mapper& mapper) {
+  const ModelTotals totals = sim.simulate_gemms_totals(
+      entry.gemms, mapper, nullptr, entry.gemm_fingerprints.data());
+  ASSERT_GT(totals.energy_pJ(), 0.0);
+}
+
 void expect_constant_allocs_per_point(const Simulator& sim,
                                       const WorkloadSet::Entry& entry,
                                       const Mapper& mapper,
                                       std::uint64_t budget) {
-  const auto evaluate = [&] {
-    const ModelTotals totals = sim.simulate_gemms_totals(
-        entry.gemms, mapper, nullptr, entry.gemm_fingerprints.data());
-    ASSERT_GT(totals.energy_pJ(), 0.0);
-  };
-  for (int i = 0; i < 4; ++i) evaluate();  // warm cache + arena + tables
-
-  const std::uint64_t short_run = count_allocations([&] {
-    for (int i = 0; i < 8; ++i) evaluate();
-  });
-  const std::uint64_t long_run = count_allocations([&] {
-    for (int i = 0; i < 64; ++i) evaluate();
-  });
-  const double per_point_short = static_cast<double>(short_run) / 8.0;
-  const double per_point_long = static_cast<double>(long_run) / 64.0;
-  std::printf("[alloc-count] %s: %.1f allocs/point (short run %.1f)\n",
-              mapper.name().c_str(), per_point_long, per_point_short);
-  // (a) steady state: the long run may not cost more per point than the
-  // short one (one point of slack absorbs hash-table jitter).
-  EXPECT_LE(per_point_long, per_point_short + 1.0) << mapper.name();
-  // (b) absolute budget, constant w.r.t. sweep length.
-  EXPECT_LE(per_point_long, static_cast<double>(budget)) << mapper.name();
+  expect_constant_allocs(
+      mapper.name(),
+      [&](int k) {
+        for (int i = 0; i < k; ++i) evaluate_point(sim, entry, mapper);
+      },
+      budget);
 }
 
 TEST(AllocCount, WarmDesignPointCostsConstantHeapAllocations) {
@@ -179,6 +191,56 @@ TEST(AllocCount, WarmDesignPointCostsConstantHeapAllocations) {
         sim, entry, BranchBoundMapper(ObjectiveSpec::parse("edp")), budget);
   }
   EXPECT_EQ(cache.weight_power().size(), memo_entries);
+}
+
+TEST(AllocCount, ThreadedWarmPathsStayWithinTheBudget) {
+  // The executor's workers persist across calls, so their thread-local
+  // arenas stay warm and a threaded warm point costs what a serial one
+  // does, plus the dispatch itself amortized over the loop.
+  CostMatrixCache cache;
+  SimulationOptions options;
+  options.cost_cache = &cache;
+  const Simulator sim(scatter_mzi_system(), options);
+  const BeamMapper mapper(4, ObjectiveSpec::parse("edp"));
+  constexpr int kThreads = 4;
+
+  WorkloadSet set;
+  workload::Model model = workload::mlp_mnist();
+  workload::convert_model_in_place(model);
+  const WorkloadSet::Entry& entry = set.add(model, "mlp-0");
+
+  const std::uint64_t budget = 128;
+  {
+    SCOPED_TRACE("design points, 4 threads");
+    expect_constant_allocs(
+        "beam x4 threads",
+        [&](int k) {
+          util::parallel_for(static_cast<size_t>(k), kThreads, [&](size_t) {
+            evaluate_point(sim, entry, mapper);
+          });
+        },
+        budget);
+  }
+  {
+    SCOPED_TRACE("batch, 4 threads");
+    // A batch of identical models: one design point per model.
+    constexpr int kModels = 8;
+    for (int m = 1; m < kModels; ++m) {
+      set.add(model, "mlp-" + std::to_string(m));
+    }
+    BatchOptions batch_options;
+    batch_options.num_threads = kThreads;
+    expect_constant_allocs(
+        "batch x4 threads",
+        [&](int k) {
+          for (int i = 0; i < k / kModels; ++i) {
+            const BatchReport batch =
+                sim.simulate_batch(set, mapper, batch_options);
+            ASSERT_EQ(batch.models.size(), static_cast<size_t>(kModels));
+          }
+        },
+        budget);
+  }
 }
 
 TEST(AllocCount, MapperScratchStaysOffTheHeapOnceWarm) {

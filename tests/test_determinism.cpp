@@ -1,11 +1,10 @@
-// The repo-wide determinism oracle: every parallel hot path — the DSE
-// engine's point loop, simulate_batch's per-model loop, and the
-// parallel_for inside BeamMapper / BranchBoundMapper — must produce
+// The repo-wide determinism oracle: both parallel hot paths — the DSE
+// engine's point loop and simulate_batch's per-model loop — must produce
 // BIT-identical results (==, not near) for every thread count, because
 // each writes results to index-addressed slots and never lets scheduling
 // order reach an accumulation.  These tests re-run the same exploration /
-// batch / mapping search across thread counts {1, 2, 4, 8} against the
-// serial run and compare every figure exactly.  A failure here means a
+// batch across thread counts {1, 2, 4, 8} against the serial run and
+// compare every figure exactly.  A failure here means a
 // scheduling change leaked into result order (e.g. a reduction folded in
 // completion order) — fix the code, never loosen the comparison.
 #include <gtest/gtest.h>
@@ -144,56 +143,9 @@ TEST(Determinism, BatchedExploreAcrossThreadCounts) {
   }
 }
 
-TEST(Determinism, MapperInternalParallelismAcrossThreadCounts) {
-  // BeamMapper and BranchBoundMapper run their own parallel_for over beam
-  // rows / subtree roots; the chosen assignment and every figure of the
-  // report must not depend on their num_threads knob.
-  CostMatrixCache cache;
-  SimulationOptions sim_options;
-  sim_options.cost_cache = &cache;
-  const Simulator sim(scatter_mzi_system(), sim_options);
-  const workload::Model model = converted(workload::mlp_mnist());
-
-  for (const ObjectiveSpec& objective :
-       {ObjectiveSpec::parse("latency"), ObjectiveSpec::parse("energy"),
-        ObjectiveSpec::parse("edp")}) {
-    Mapping base_beam;
-    const ModelReport beam_report =
-        sim.simulate_model(model, BeamMapper(8, objective, 1), &base_beam);
-    Mapping base_bnb;
-    const ModelReport bnb_report =
-        sim.simulate_model(model, BranchBoundMapper(objective, 1), &base_bnb);
-
-    for (const int threads : kThreadCounts) {
-      SCOPED_TRACE("objective=" + objective.text() +
-                   " threads=" + std::to_string(threads));
-      Mapping beam_chosen;
-      const ModelReport beam_t = sim.simulate_model(
-          model, BeamMapper(8, objective, threads), &beam_chosen);
-      EXPECT_EQ(beam_chosen.assignment, base_beam.assignment);
-      EXPECT_EQ(beam_chosen.predicted_cost, base_beam.predicted_cost);
-      EXPECT_EQ(beam_t.total_runtime_ns, beam_report.total_runtime_ns);
-      EXPECT_EQ(beam_t.total_energy.total_pJ(),
-                beam_report.total_energy.total_pJ());
-
-      Mapping bnb_chosen;
-      const ModelReport bnb_t = sim.simulate_model(
-          model, BranchBoundMapper(objective, threads), &bnb_chosen);
-      EXPECT_EQ(bnb_chosen.assignment, base_bnb.assignment);
-      EXPECT_EQ(bnb_chosen.predicted_cost, base_bnb.predicted_cost);
-      EXPECT_EQ(bnb_t.total_runtime_ns, bnb_report.total_runtime_ns);
-      EXPECT_EQ(bnb_t.total_energy.total_pJ(),
-                bnb_report.total_energy.total_pJ());
-    }
-  }
-}
-
-TEST(Determinism, BatchWithNestedParallelMapperAcrossThreadCounts) {
-  // Batch-level parallel_for with a parallel mapper nested inside each
-  // model: the nested dispatch (inline on pool workers, pooled from the
-  // calling thread) must not change any figure.
+TEST(Determinism, BatchAcrossThreadCounts) {
   const WorkloadSet set = small_batch();
-  const BeamMapper mapper(4, ObjectiveSpec::parse("edp"), 2);
+  const BeamMapper mapper(4, ObjectiveSpec::parse("edp"));
 
   CostMatrixCache cache;
   SimulationOptions sim_options;

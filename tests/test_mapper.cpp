@@ -179,34 +179,6 @@ TEST(Mapper, BeamMatchesExhaustiveOracleOnRandomSmallModels) {
   }
 }
 
-TEST(Mapper, BeamParallelBitIdenticalToSerial) {
-  const Simulator sim(scatter_mzi_system());
-  util::Rng rng(5);
-  workload::Model model = random_model(rng, 6, /*allow_dynamic=*/false);
-  workload::convert_model_in_place(model);
-  const auto gemms = workload::extract_gemms(model);
-  const CostMatrix costs = sim.build_cost_matrix(gemms);
-  MappingProblem problem{&gemms, &costs, 2};
-
-  const Mapping serial = BeamMapper(8, ObjectiveSpec::parse("edp"),
-                                    /*num_threads=*/1)
-                             .map(problem);
-  for (int threads : {0, 2, 4, 8}) {
-    const Mapping parallel =
-        BeamMapper(8, ObjectiveSpec::parse("edp"), threads).map(problem);
-    EXPECT_EQ(parallel.assignment, serial.assignment) << threads;
-    EXPECT_EQ(parallel.predicted_cost, serial.predicted_cost) << threads;
-    EXPECT_EQ(parallel.predicted_energy_pJ, serial.predicted_energy_pJ)
-        << threads;
-    EXPECT_EQ(parallel.predicted_latency_ns, serial.predicted_latency_ns)
-        << threads;
-  }
-}
-
-// Acceptance criterion: on the VGG8 heterogeneous scenario the searched
-// mappings must be at least as good (EDP) as the hand-written rule route,
-// and the report assembled from the cost matrix must agree with the
-// search's own prediction.
 TEST(Mapper, SearchedMappingsNoWorseThanFixedRulesOnVgg8Hetero) {
   const workload::Model model = pruned_vgg8();
   const Simulator sim(scatter_mzi_system());

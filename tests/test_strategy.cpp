@@ -87,7 +87,6 @@ TEST(Strategy, ConstructorsValidateTheirKnobs) {
   EXPECT_THROW(SuccessiveHalvingStrategy(3, 0), std::invalid_argument);
   EXPECT_THROW(FrontierRefineStrategy(small_space(), 0),
                std::invalid_argument);
-  EXPECT_THROW(InterleavedStrategy({}), std::invalid_argument);
 }
 
 // ------------------------------------------ default == explicit one-shot
@@ -378,27 +377,6 @@ TEST(Strategy, FrontierRefinementAppendsNeighborsBeyondTheSampledList) {
   }
   EXPECT_GT(refined, 0u);
   expect_bit_identical(run(), first);  // deterministic
-}
-
-// ------------------------------------------------ interleaved combinator
-
-TEST(Strategy, InterleavedDropsDuplicateIndicesFirstChildWins) {
-  const DseSpace space = small_space();
-  const workload::Model model = workload::mlp_mnist();
-  // Two one-shot children both propose the whole slice; the combinator
-  // must evaluate both batches but keep each canonical index once.
-  OneShotStrategy a;
-  OneShotStrategy b;
-  InterleavedStrategy interleaved({&a, &b});
-  DseOptions options;
-  options.num_threads = 2;
-  options.strategy = &interleaved;
-  const DseResult result =
-      explore({arch::tempo_template()}, g_lib, model, space, options);
-
-  const DseResult expected =
-      explore({arch::tempo_template()}, g_lib, model, space, DseOptions{});
-  expect_bit_identical(result, expected);
 }
 
 // ------------------------------------------------- CLI byte-identity

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -12,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace simphony::util {
@@ -66,11 +68,19 @@ TEST(ThreadPool, ManyWorkersCompleteAllTasks) {
 
 TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
   for (unsigned workers : {0u, 1u, 3u}) {
-    ThreadPool pool(workers);
-    auto ok = pool.submit([] { return 7; });
-    auto bad = pool.submit(
-        []() -> int { throw std::runtime_error("task failed"); });
-    EXPECT_EQ(ok.get(), 7);
+    // The pool is joined before get(), so the future is the task state's
+    // only owner and the exception object is released on this thread.  A
+    // worker dropping the last reference would be correct too, but
+    // ThreadSanitizer cannot see that ordering: the refcount lives in the
+    // uninstrumented runtime library.
+    std::future<int> bad;
+    {
+      ThreadPool pool(workers);
+      auto ok = pool.submit([] { return 7; });
+      bad = pool.submit(
+          []() -> int { throw std::runtime_error("task failed"); });
+      EXPECT_EQ(ok.get(), 7);
+    }
     EXPECT_THROW(
         {
           try {
@@ -97,43 +107,14 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
   EXPECT_EQ(ran.load(), 100);
 }
 
-TEST(ThreadPool, CancelDiscardsQueuedTasksAndBreaksTheirPromises) {
-  ThreadPool pool(1);
-  std::promise<void> started;
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  auto blocker = pool.submit([&started, gate] {
-    started.set_value();
-    gate.wait();
-  });
-  started.get_future().wait();  // ensure the blocker is running, not queued
-
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> discarded;
-  for (int i = 0; i < 10; ++i) {
-    discarded.push_back(pool.submit([&ran] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-    }));
-  }
-
-  pool.cancel();  // the 10 tasks are still queued behind the blocker
-  release.set_value();
-  blocker.get();
-
-  EXPECT_EQ(ran.load(), 0);
-  for (auto& f : discarded) {
-    EXPECT_THROW(f.get(), std::future_error);
-  }
-}
-
 TEST(ThreadPool, HardwareThreadsIsAtLeastOne) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
 }
 
-// Pins the engine-wide `num_threads` convention every subsystem
-// (DseOptions, BatchOptions, BeamMapper, BranchBoundMapper) resolves
-// through: 0 = one worker per hardware thread, 1 = serial (inline pool),
-// negative = error — never the ThreadPool constructor's own 0 = inline.
+// Pins the engine-wide `num_threads` convention every knob (DseOptions,
+// BatchOptions, Engine::Options) resolves through: 0 = one thread per
+// hardware thread, 1 = serial (inline), negative = error — never the
+// ThreadPool constructor's own 0 = inline.
 TEST(ThreadPool, WorkersForResolvesTheSharedConvention) {
   const size_t unbounded = std::numeric_limits<size_t>::max();
   EXPECT_THROW((void)ThreadPool::workers_for(-1, unbounded),
@@ -161,65 +142,79 @@ TEST(ThreadPool, WorkersForClampsToUsefulWorkAndHardCap) {
 }
 
 // ---------------------------------------------------------------------------
-// parallel_for: chunked bulk dispatch with work stealing.
+// parallel_for: chunked bulk dispatch with work stealing on the
+// process-wide executor.  No test in this binary asks for more than
+// kMaxThreads participants, so a kMaxThreads dispatch can occupy every
+// executor worker.
 // ---------------------------------------------------------------------------
 
+constexpr int kMaxThreads = 8;
+
+/// The executor counters accumulated since `before`.
+ThreadPool::BulkStats stats_since(const ThreadPool::BulkStats& before) {
+  const ThreadPool::BulkStats after = ThreadPool::global_bulk_stats();
+  ThreadPool::BulkStats delta;
+  delta.dispatches = after.dispatches - before.dispatches;
+  delta.tasks = after.tasks - before.tasks;
+  delta.chunks = after.chunks - before.chunks;
+  delta.steals = after.steals - before.steals;
+  delta.items = after.items - before.items;
+  return delta;
+}
+
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  for (unsigned workers : {0u, 1u, 3u, 8u}) {
-    ThreadPool pool(workers);
+  for (int threads : {1, 2, 4, kMaxThreads}) {
     for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{1000}}) {
       std::vector<std::atomic<int>> hits(n);
       for (auto& h : hits) h.store(0);
-      pool.parallel_for(n, [&hits](size_t i) {
+      parallel_for(n, threads, [&hits](size_t i) {
         hits[i].fetch_add(1, std::memory_order_relaxed);
       });
       for (size_t i = 0; i < n; ++i) {
         ASSERT_EQ(hits[i].load(), 1)
-            << "index " << i << " with " << workers << " workers, n=" << n;
+            << "index " << i << " with " << threads << " threads, n=" << n;
       }
     }
   }
 }
 
-TEST(ParallelFor, InlineWithNoWorkers) {
-  ThreadPool pool(0);
+TEST(ParallelFor, InlineWithOneParticipant) {
+  // A serial request, and a loop too short to share, run as a plain loop
+  // on the caller's thread with no helper jobs.
   const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<int> off_thread{0};
-  pool.parallel_for(64, [&](size_t) {
-    if (std::this_thread::get_id() != caller) {
-      off_thread.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  EXPECT_EQ(off_thread.load(), 0);
+  for (const auto& [n, threads] : {std::pair<size_t, int>{64, 1},
+                                   std::pair<size_t, int>{1, 4}}) {
+    const ThreadPool::BulkStats before = ThreadPool::global_bulk_stats();
+    std::atomic<int> off_thread{0};
+    parallel_for(n, threads, [&](size_t) {
+      if (std::this_thread::get_id() != caller) {
+        off_thread.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    const ThreadPool::BulkStats delta = stats_since(before);
+    EXPECT_EQ(off_thread.load(), 0);
+    EXPECT_EQ(delta.dispatches, 1u);
+    EXPECT_EQ(delta.tasks, 0u);
+    EXPECT_EQ(delta.items, n);
+  }
 }
 
-TEST(ParallelFor, InlineWhenRangeFitsOneChunk) {
-  // n <= min_chunk is not worth a dispatch: plain serial loop, caller's
-  // thread, no bulk tasks enqueued.
-  ThreadPool pool(4);
-  pool.reset_bulk_stats();
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<int> off_thread{0};
-  pool.parallel_for(
-      10,
-      [&](size_t) {
-        if (std::this_thread::get_id() != caller) {
-          off_thread.fetch_add(1, std::memory_order_relaxed);
-        }
-      },
-      /*min_chunk=*/16);
-  EXPECT_EQ(off_thread.load(), 0);
-  EXPECT_EQ(pool.bulk_stats().tasks, 0u);
-  EXPECT_EQ(pool.bulk_stats().items, 10u);
+TEST(ParallelFor, NegativeThreadCountThrowsBeforeAnyIndexRuns) {
+  std::atomic<int> ran{0};
+  EXPECT_THROW(parallel_for(8, -1,
+                            [&](size_t) {
+                              ran.fetch_add(1, std::memory_order_relaxed);
+                            }),
+               std::invalid_argument);
+  EXPECT_EQ(ran.load(), 0);
 }
 
 TEST(ParallelFor, RethrowsTheLowestFailingIndex) {
-  for (unsigned workers : {0u, 3u}) {
-    ThreadPool pool(workers);
+  for (int threads : {1, 4}) {
     std::mutex mu;
     std::vector<size_t> threw;  // every index whose body threw
     try {
-      pool.parallel_for(512, [&](size_t i) {
+      parallel_for(512, threads, [&](size_t i) {
         if (i % 3 == 0) {
           {
             std::lock_guard<std::mutex> lock(mu);
@@ -234,29 +229,25 @@ TEST(ParallelFor, RethrowsTheLowestFailingIndex) {
       ASSERT_FALSE(threw.empty());
       const size_t lowest = *std::min_element(threw.begin(), threw.end());
       EXPECT_EQ(std::string(e.what()), "fail@" + std::to_string(lowest))
-          << "with " << workers << " workers";
+          << "with " << threads << " threads";
     }
   }
 }
 
 TEST(ParallelFor, ExceptionStopsNewChunkClaims) {
   // After a failure no NEW chunks are claimed, so far fewer than n bodies
-  // run; the pool stays usable afterwards.
-  ThreadPool pool(2);
+  // run; the executor stays usable afterwards.
   std::atomic<size_t> ran{0};
   constexpr size_t kN = 1u << 20;
-  EXPECT_THROW(pool.parallel_for(kN,
-                                 [&](size_t i) {
-                                   ran.fetch_add(1,
-                                                 std::memory_order_relaxed);
-                                   if (i == 0) {
-                                     throw std::runtime_error("early");
-                                   }
-                                 }),
+  EXPECT_THROW(parallel_for(kN, 3,
+                            [&](size_t i) {
+                              ran.fetch_add(1, std::memory_order_relaxed);
+                              if (i == 0) throw std::runtime_error("early");
+                            }),
                std::runtime_error);
   EXPECT_LT(ran.load(), kN);
   std::atomic<size_t> after{0};
-  pool.parallel_for(100, [&](size_t) {
+  parallel_for(100, 3, [&](size_t) {
     after.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(after.load(), 100u);
@@ -267,16 +258,75 @@ TEST(ParallelFor, NestedCallFromBodyCompletes) {
   // on a worker thread it degrades to an inline loop; on the calling
   // thread it redispatches, and the caller's own participation guarantees
   // progress even while the workers drain outer chunks.
-  ThreadPool pool(3);
   constexpr size_t kOuter = 16;
   constexpr size_t kInner = 32;
   std::atomic<size_t> total{0};
-  pool.parallel_for(kOuter, [&](size_t) {
-    pool.parallel_for(kInner, [&](size_t) {
+  parallel_for(kOuter, 4, [&](size_t) {
+    parallel_for(kInner, 4, [&](size_t) {
       total.fetch_add(1, std::memory_order_relaxed);
     });
   });
   EXPECT_EQ(total.load(), kOuter * kInner);
+}
+
+TEST(ParallelFor, NestedCallOnAWorkerRunsInline) {
+  // Both outer bodies wait until both have started, so the caller cannot
+  // take the helper's index: exactly one outer body runs on an executor
+  // worker, and its nested loop must stay on that worker.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::atomic<int> on_worker{0};
+  std::atomic<int> inner_off_thread{0};
+  parallel_for(2, 2, [&](size_t) {
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    const std::thread::id self = std::this_thread::get_id();
+    if (self == caller) return;
+    on_worker.fetch_add(1);
+    parallel_for(64, 4, [&](size_t) {
+      if (std::this_thread::get_id() != self) inner_off_thread.fetch_add(1);
+    });
+  });
+  ASSERT_EQ(started.load(), 2);
+  EXPECT_EQ(on_worker.load(), 1);
+  EXPECT_EQ(inner_off_thread.load(), 0);
+}
+
+TEST(ParallelFor, DispatchDoesNotWaitOnHelpersQueuedBehindAnotherCaller) {
+  // Thread A occupies the caller and every executor worker with bodies
+  // blocked on a gate.  Thread B's helper jobs then queue behind A's
+  // work; B must run its whole loop itself and return without waiting
+  // for them.  A pool that joined every helper's future would hang here
+  // until the gate opens.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<int> blocked{0};
+  std::thread a([&] {
+    parallel_for(kMaxThreads, kMaxThreads, [&](size_t) {
+      blocked.fetch_add(1);
+      opened.wait();
+    });
+  });
+  while (blocked.load() < kMaxThreads) std::this_thread::yield();
+
+  std::vector<std::atomic<int>> hits(100);
+  for (auto& h : hits) h.store(0);
+  auto b = std::async(std::launch::async, [&] {
+    parallel_for(hits.size(), 4, [&](size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  const bool returned =
+      b.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  gate.set_value();  // unblock A (and a hung B) before asserting
+  a.join();
+  b.get();
+  EXPECT_TRUE(returned) << "B waited on helpers queued behind A";
+  for (size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ParallelFor, StealsFromAnUnbalancedSegment) {
@@ -284,90 +334,37 @@ TEST(ParallelFor, StealsFromAnUnbalancedSegment) {
   // in it sleeps) forces the other participants to finish their own fast
   // segments and steal the remainder.  Asserting steals > 0 pins that the
   // stealing path exists and is counted; exact counts are timing-dependent.
-  ThreadPool pool(3);
-  pool.reset_bulk_stats();
+  const ThreadPool::BulkStats before = ThreadPool::global_bulk_stats();
   constexpr size_t kN = 256;  // 4 participants -> segment 0 = [0, 64)
   std::vector<std::atomic<int>> hits(kN);
   for (auto& h : hits) h.store(0);
-  pool.parallel_for(kN, [&](size_t i) {
+  parallel_for(kN, 4, [&](size_t i) {
     if (i < kN / 4) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1);
-  const ThreadPool::BulkStats stats = pool.bulk_stats();
+  const ThreadPool::BulkStats stats = stats_since(before);
   EXPECT_EQ(stats.items, kN);
   EXPECT_GT(stats.steals, 0u);
 }
 
 TEST(ParallelFor, BulkStatsCountDispatchesTasksAndItems) {
-  ThreadPool pool(3);
-  pool.reset_bulk_stats();
+  const ThreadPool::BulkStats before = ThreadPool::global_bulk_stats();
   std::atomic<size_t> ran{0};
-  pool.parallel_for(1000, [&](size_t) {
+  parallel_for(1000, 4, [&](size_t) {
     ran.fetch_add(1, std::memory_order_relaxed);
   });
-  pool.parallel_for(500, [&](size_t) {
+  parallel_for(500, 4, [&](size_t) {
     ran.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(ran.load(), 1500u);
-  const ThreadPool::BulkStats stats = pool.bulk_stats();
+  const ThreadPool::BulkStats stats = stats_since(before);
   EXPECT_EQ(stats.dispatches, 2u);
-  EXPECT_EQ(stats.tasks, 2u * pool.size());  // one bulk job per worker
+  EXPECT_EQ(stats.tasks, 2u * 3u);  // one helper job per participant - 1
   EXPECT_EQ(stats.items, 1500u);
   EXPECT_GE(stats.chunks, 2u);
-  pool.reset_bulk_stats();
-  EXPECT_EQ(pool.bulk_stats().dispatches, 0u);
-  EXPECT_EQ(pool.bulk_stats().items, 0u);
-}
-
-TEST(ParallelFor, GlobalBulkStatsAggregateAcrossPools) {
-  const ThreadPool::BulkStats before = ThreadPool::global_bulk_stats();
-  {
-    ThreadPool a(2);
-    ThreadPool b(0);
-    std::atomic<size_t> ran{0};
-    a.parallel_for(300, [&](size_t) {
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-    b.parallel_for(200, [&](size_t) {
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(ran.load(), 500u);
-  }
-  const ThreadPool::BulkStats after = ThreadPool::global_bulk_stats();
-  EXPECT_GE(after.items - before.items, 500u);
-  EXPECT_GE(after.dispatches - before.dispatches, 2u);
-}
-
-TEST(ParallelFor, SurvivesCancelDiscardingItsBulkTasks) {
-  // cancel() may discard the bulk worker jobs while they still sit behind
-  // a long-running task; the dispatching thread keeps claiming chunks
-  // itself and must treat the broken futures as "worker contributed
-  // nothing", not as an error.
-  ThreadPool pool(1);
-  std::promise<void> started;
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  auto blocker = pool.submit([&started, gate] {
-    started.set_value();
-    gate.wait();
-  });
-  started.get_future().wait();
-
-  std::atomic<size_t> ran{0};
-  std::thread dispatcher([&] {
-    pool.parallel_for(100, [&](size_t) {
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  pool.cancel();
-  release.set_value();
-  dispatcher.join();
-  blocker.get();
-  EXPECT_EQ(ran.load(), 100u);
 }
 
 TEST(ThreadPool, SubmitAcceptsMoveOnlyCallables) {
