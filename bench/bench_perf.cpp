@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the simulator's own hot paths:
-// longest-path link budget, node floorplanning, GEMM mapping and the full
-// end-to-end layer simulation.
+// longest-path link budget, node floorplanning, GEMM mapping, model
+// resolution and the full end-to-end layer simulation.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -8,6 +8,7 @@
 
 #include "arch/link_budget.h"
 #include "arch/prebuilt.h"
+#include "core/engine.h"
 #include "core/simulator.h"
 #include "core/workload_set.h"
 #include "layout/floorplan.h"
@@ -254,6 +255,22 @@ BENCHMARK(BM_ParallelForScaling)
     ->Arg(4)
     ->Arg(0)
     ->UseRealTime();
+
+/// One request's model resolution (core::resolve_models): weight synthesis,
+/// quantization, GEMM extraction and fingerprints, the stage that dominates
+/// a fresh-engine simulate (docs/performance.md, "Workload synthesis").
+void BM_ResolveModels(benchmark::State& state, const char* spec) {
+  core::SimulateRequest request;
+  request.models.push_back(core::WorkloadSpec{spec, "", 1.0});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::resolve_models(request));
+  }
+}
+BENCHMARK_CAPTURE(BM_ResolveModels, vgg8, "vgg8")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ResolveModels, resnet20, "resnet20")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ResolveModels, mlp, "mlp")->Unit(benchmark::kMillisecond);
 
 void BM_VGG8FullModel(benchmark::State& state) {
   devlib::DeviceLibrary lib = devlib::DeviceLibrary::standard();

@@ -27,9 +27,13 @@ double quantization_scale(int bits) {
   return std::max(1.0, std::pow(2.0, bits - 1) - 1.0);
 }
 
+/// std::round(clamp(v) * q) / q without the libm call.  x = clamp(v) * q
+/// is exact (24 + 15 significant bits) and |x| <= 32767, so x + 0.5 rounds
+/// across no integer and trunc() gives round-half-away-from-zero exactly;
+/// trunc keeps the sign of -0.0 and of (-0.5, 0), and passes NaN through.
 float quantize_value(float v, double q) {
-  const double clamped = std::clamp(static_cast<double>(v), -1.0, 1.0);
-  return static_cast<float>(std::round(clamped * q) / q);
+  const double x = std::clamp(static_cast<double>(v), -1.0, 1.0) * q;
+  return static_cast<float>(std::trunc(x + std::copysign(0.5, x)) / q);
 }
 
 }  // namespace

@@ -35,14 +35,14 @@ float Tensor::at(int64_t flat_index) const {
 Tensor Tensor::randn(std::vector<int64_t> shape, util::Rng& rng, double mean,
                      double stddev) {
   Tensor t(std::move(shape));
-  t.data_ = rng.normal_vector(t.data_.size(), mean, stddev);
+  rng.fill_normal(t.data_, mean, stddev);
   return t;
 }
 
 Tensor Tensor::uniform(std::vector<int64_t> shape, util::Rng& rng, double lo,
                        double hi) {
   Tensor t(std::move(shape));
-  t.data_ = rng.uniform_vector(t.data_.size(), lo, hi);
+  rng.fill_uniform(t.data_, lo, hi);
   return t;
 }
 

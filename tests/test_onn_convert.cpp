@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-
-#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
 
 namespace simphony::workload {
 namespace {
@@ -102,6 +106,60 @@ TEST(ConvertModel, ModeNames) {
   EXPECT_EQ(to_string(WeightMode::kTransmission), "transmission");
   EXPECT_EQ(to_string(WeightMode::kPhase), "phase");
   EXPECT_EQ(to_string(WeightMode::kVoltage), "voltage");
+}
+
+/// The std::round formula that quantize() must match bit for bit.
+float reference_quantize(float v, int bits) {
+  const double q = std::max(1.0, std::pow(2.0, bits - 1) - 1.0);
+  const double clamped = std::clamp(static_cast<double>(v), -1.0, 1.0);
+  return static_cast<float>(std::round(clamped * q) / q);
+}
+
+TEST(Quantize, BitIdenticalToLibmRound) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kTiny = std::numeric_limits<float>::denorm_min();
+  std::vector<float> common = {
+      0.0f, -0.0f, 1.0f, -1.0f, 0.5f, -0.5f, kInf, -kInf, 1.0000001f,
+      -1.0000001f, 1.5f, -2.0f, 1e30f, -1e30f, kTiny, -kTiny, 1e-40f,
+      -1e-40f, std::numeric_limits<float>::min(),
+      -std::numeric_limits<float>::min(),
+      std::numeric_limits<float>::quiet_NaN()};
+  std::mt19937_64 engine(2024);
+  std::uniform_real_distribution<double> uniform(-1.5, 1.5);
+  for (int i = 0; i < 1000000; ++i) {
+    common.push_back(static_cast<float>(uniform(engine)));
+  }
+  for (int bits = 1; bits <= 16; ++bits) {
+    const double q = std::max(1.0, std::pow(2.0, bits - 1) - 1.0);
+    std::vector<float> values = common;
+    // Half steps (k + 0.5) / q of both signs and their float neighbours.
+    for (double k = 0; k < q; ++k) {
+      for (const double sign : {1.0, -1.0}) {
+        const auto half = static_cast<float>(sign * (k + 0.5) / q);
+        values.push_back(half);
+        values.push_back(std::nextafter(half, 2.0f));
+        values.push_back(std::nextafter(half, -2.0f));
+      }
+    }
+    Tensor t({static_cast<int64_t>(values.size())});
+    t.data() = values;
+    const Tensor got = quantize(t, bits);
+    for (size_t i = 0; i < values.size(); ++i) {
+      const float want = reference_quantize(values[i], bits);
+      const float have = got.data()[i];
+      if (std::isnan(want)) {
+        ASSERT_TRUE(std::isnan(have)) << bits << " bits, input " << values[i];
+        continue;
+      }
+      uint32_t want_bits = 0;
+      uint32_t have_bits = 0;
+      std::memcpy(&want_bits, &want, sizeof want);
+      std::memcpy(&have_bits, &have, sizeof have);
+      ASSERT_EQ(have_bits, want_bits)
+          << bits << " bits, input " << values[i] << " -> " << have
+          << " want " << want;
+    }
+  }
 }
 
 class QuantBits : public ::testing::TestWithParam<int> {};

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <random>
+#include <string>
+
 #include "workload/gemm.h"
 #include "workload/model.h"
 
@@ -80,6 +85,38 @@ TEST(Model, BertBaseStructure) {
   EXPECT_NEAR(static_cast<double>(m.total_macs()) / 1e9, 17.447, 0.01);
   // Linear layers carry the sequence length.
   EXPECT_EQ(m.layers[0].mm_m, 197);
+}
+
+/// Compares `model`'s weights with a rebuild that draws each layer from
+/// std::mt19937_64 through a fresh std::normal_distribution (what
+/// util::Rng mirrors), then normalizes and prunes as model_from_spec does.
+void expect_std_weights(const Model& model, double prune_ratio,
+                        const std::string& what) {
+  std::mt19937_64 engine(42);
+  for (const Layer& layer : model.layers) {
+    if (layer.weights.numel() == 0) continue;
+    const double stddev =
+        layer.type == LayerType::kConv2d
+            ? std::sqrt(2.0 / (static_cast<double>(layer.in_channels) *
+                               layer.kernel * layer.kernel))
+            : std::sqrt(2.0 / static_cast<double>(layer.in_features));
+    std::normal_distribution<double> normal(0.0, stddev);
+    Tensor want(layer.weights.shape());
+    for (float& v : want.data()) v = static_cast<float>(normal(engine));
+    want.normalize_to(1.0f);
+    want.prune_smallest(prune_ratio);
+    ASSERT_EQ(std::memcmp(layer.weights.data().data(), want.data().data(),
+                          want.data().size() * sizeof(float)),
+              0)
+        << what << " " << layer.name << " differs from the std draw";
+  }
+}
+
+TEST(Model, WeightsMatchStdOnlySynthesis) {
+  for (const std::string spec : {"vgg8", "resnet20", "mlp", "gemm:64x32x64"}) {
+    expect_std_weights(model_from_spec(spec), 0.0, spec);
+  }
+  expect_std_weights(vgg8_cifar10(42, 0.5), 0.5, "vgg8 pruned 0.5");
 }
 
 TEST(Gemm, ConvLowersViaIm2col) {
